@@ -317,6 +317,19 @@ def run_cli(argv: Sequence[str]) -> int:
     except lee.SearchBudgetExceeded as err:
         print(f"search budget exceeded: {err}", file=sys.stderr)
         return 2
+    except lee.InvalidBudget as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)",
+              file=sys.stderr)
+        return 2
+    except semantics.StateExplosion as err:
+        print(f"state explosion: {err}", file=sys.stderr)
+        return 2
+    except semantics.AmbiguousMarking as err:
+        print(f"ambiguous marking: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -325,3 +338,7 @@ def run_cli(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .charts import (
     EMPTY, Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
-    find_cycle, has_infinite_path, reachable,
+    find_cycle, has_infinite_path, reachable, rooted_subchart,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -36,6 +36,10 @@ class TraceReplayError(Exception):
 
 class SearchBudgetExceeded(Exception):
     pass
+
+
+class InvalidBudget(ValueError):
+    """The budget environment variable is not a non-negative integer."""
 
 
 @dataclass
@@ -157,29 +161,117 @@ def eliminate_loop(c: Chart, v: int, entry_set: frozenset[Transition]) -> Chart:
 # the LEE decision
 
 def _budget_default() -> int:
-    value = os.environ.get(BUDGET_ENV)
-    return int(value) if value else DEFAULT_BUDGET
+    value = os.environ.get(BUDGET_ENV, "").strip()
+    if not value:
+        return DEFAULT_BUDGET
+    if not value.isdecimal():
+        raise InvalidBudget(f"{BUDGET_ENV} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
-    """Complete backtracking search for an elimination sequence ending in a
-    chart without infinite paths.  Empty-step labels, if present, are
-    treated as ordinary labels."""
+    """Decide LEE by greedy elimination of maximal loops, without
+    backtracking.  Empty-step labels, if present, are treated as ordinary
+    labels.
+
+    Call a transition t from v *admissible* when the subchart generated by
+    {t} meets L2 and L3 (only L1 may fail).  The subchart generated by an
+    entry set at v is the union of the subcharts generated by its single
+    transitions.  A cycle that avoids v, or a terminating vertex other
+    than v, lies inside one of those subcharts, since every vertex of such
+    a cycle is reached from the others without passing v.  So an entry set
+    meets L2 and L3 iff all its transitions are admissible, and the set of
+    all admissible transitions at v, the *maximal entry set*, is a loop
+    entry iff its subchart also meets L1, that is, iff some admissible
+    transition leads back to v.  Finding it takes one loop-subchart check
+    per transition instead of one per subset.
+
+    Greedy elimination is sound because the order of loop eliminations
+    does not affect whether LEE holds (C. Grabmayer and W. Fokkink, "A
+    complete proof system for 1-free regular expressions modulo
+    bisimilarity", LICS 2020, arXiv:2004.12740): if some elimination run
+    ends in a chart without infinite paths, then so does every run that
+    goes on eliminating loops while there are any.  So the chart has LEE
+    iff the greedy run ends without infinite paths, and LEE fails as soon
+    as no vertex has a loop.
+
+    Each round scans the vertices in order and prefers an *innermost* loop:
+    one whose vertices other than v lie on no cycle of the chart after its
+    elimination.  No later step can then start at a vertex inside it, so
+    the recording of the trace stays layered.  Without one the round takes
+    the first loop found.
+
+    The budget bounds the loop-subchart checks made, counting the one of
+    each elimination; exceeding it raises SearchBudgetExceeded."""
     if budget is None:
         budget = _budget_default()
+    checks = 0
+
+    def spend() -> None:
+        nonlocal checks
+        checks += 1
+        if checks > budget:
+            raise SearchBudgetExceeded(f"more than {budget} loop-subchart checks")
+
+    current = reachable(c)
+    steps: list[EliminationStep] = []
+    while has_infinite_path(current):
+        chosen: Optional[tuple[EliminationStep, Chart]] = None
+        for v in sorted(current.vertices):
+            entries: set[Transition] = set()
+            body: set[int] = set()
+            loops = False
+            for t in current.out(v):
+                spend()
+                sub = loop_subchart_generated(current, v, frozenset({t}))
+                failing = {x["condition"] for x in check_loop_chart(sub).violations}
+                if failing <= {"L1"}:
+                    entries.add(t)
+                    body |= sub.vertices
+                    loops = loops or not failing
+            if not loops:
+                continue
+            step = EliminationStep(v, frozenset(entries))
+            spend()
+            after = eliminate_loop(current, v, step.entry_set)
+            if chosen is None:
+                chosen = (step, after)
+            if not body & _on_cycle_through(after, v) - {v}:
+                chosen = (step, after)
+                break
+        if chosen is None:
+            return LeeResult(False)
+        steps.append(chosen[0])
+        current = chosen[1]
+    return LeeResult(True, EliminationTrace(steps))
+
+
+def _on_cycle_through(c: Chart, v: int) -> frozenset[int]:
+    """The vertices reachable from v that reach v back.  After a loop at v
+    is eliminated, a vertex of its body lies on a cycle only through v: a
+    cycle avoiding v would have lain in the loop subchart (L2)."""
+    reverse = Chart(c.alphabet, v, c.vertices,
+                    frozenset((w, label, x) for x, label, w in c.transitions),
+                    frozenset())
+    return reachable(reverse).vertices & rooted_subchart(c, v).vertices
+
+
+def exhaustive_lee(c: Chart) -> LeeResult:
+    """Complete backtracking search for an elimination sequence ending in a
+    chart without infinite paths: every subset of every vertex's outgoing
+    transitions, in every order, with failed charts remembered.  It makes
+    up to 2^out-degree loop-subchart checks per vertex and search node, and
+    is kept as the test oracle for `decide_lee`'s verdict.  Its trace
+    replays, but need not record to a layered witness.  Empty-step labels
+    are treated as ordinary labels."""
     failed: set = set()
-    nodes = 0
 
     def search(current: Chart) -> Optional[list[EliminationStep]]:
-        nonlocal nodes
         if not has_infinite_path(current):
             return []
         key = canonical_key(current)
         if key in failed:
             return None
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"more than {budget} search nodes")
         for v in sorted(current.vertices):
             outs = current.out(v)
             # largest candidate entry sets first

@@ -2,8 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
-from loopchart import charts
+import pytest
+
+from loopchart import charts, semantics
 from loopchart.cli import (
     default_corpus, enumerate_exprs, run_cli, sample_exprs, verify_p1,
     verify_p2,
@@ -136,3 +140,35 @@ def test_cli_corpus_small(capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary == {"expressions": 54, "failures": 0}
+
+
+def test_cli_invalid_budget_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("LOOPCHART_BUDGET", "abc")
+    assert run_cli(["lee", "(a*.b*)*"]) == 2
+    err = capsys.readouterr().err
+    assert "LOOPCHART_BUDGET" in err and len(err.splitlines()) == 1
+
+
+def test_cli_deep_nesting_exit_2(capsys):
+    assert run_cli(["chart", "(" * 300 + "a" + ")" * 300]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [semantics.StateExplosion,
+                                   semantics.AmbiguousMarking])
+def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
+    def fail(e):
+        raise error("cap")
+    monkeypatch.setattr(semantics, "chart_of", fail)
+    assert run_cli(["chart", "a"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_runs_as_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "loopchart.cli", "chart", "a*"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("chart: ")

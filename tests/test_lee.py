@@ -1,14 +1,16 @@
 """Loop charts, elimination, the LEE decision, and witness validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import Chart, has_infinite_path
+from loopchart.cli import enumerate_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, NotALoopSubchart,
     SearchBudgetExceeded, TraceReplayError, check_loop_chart, decide_lee,
-    eliminate_loop, entries_of, loop_subchart_generated, recording_labeling,
-    validate_llee, validate_llee_alt,
+    eliminate_loop, entries_of, exhaustive_lee, loop_subchart_generated,
+    recording_labeling, validate_llee, validate_llee_alt,
 )
 from loopchart.syntax import Act, parse_star_expr
 
@@ -169,3 +171,53 @@ def test_decide_lee_on_one_charts(e_expr, f_expr):
     marked interpretations have witnesses, so the decision must hold."""
     for expr in (e_expr, f_expr):
         assert decide_lee(semantics.onechart_of(expr)).holds
+
+
+def assert_agrees_with_oracle(c):
+    """decide_lee's verdict is the exhaustive search's, and a "holds" trace
+    eliminates every infinite path and records to a layered witness."""
+    result = decide_lee(c)
+    assert result.holds == exhaustive_lee(c).holds
+    if not result.holds:
+        return
+    current = c
+    for step in result.trace.steps:
+        current = eliminate_loop(current, step.vertex, step.entry_set)
+    assert not has_infinite_path(current)
+    labeling = recording_labeling(c, result.trace)
+    assert validate_llee(labeling).valid
+    assert validate_llee_alt(labeling).valid
+
+
+def test_decide_lee_agrees_with_exhaustive_on_small_expressions():
+    for e in enumerate_exprs(["a", "b"], 4):
+        assert_agrees_with_oracle(semantics.chart_of(e))
+        assert_agrees_with_oracle(semantics.onechart_of(e))
+
+
+@st.composite
+def small_charts(draw):
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    transitions = draw(st.frozensets(
+        st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=3 * n))
+    terminating = draw(st.frozensets(vertex))
+    return Chart(frozenset("ab"), 0, frozenset(range(n)), transitions, terminating)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_charts())
+def test_decide_lee_agrees_with_exhaustive_on_random_charts(c):
+    assert_agrees_with_oracle(c)
+
+
+def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
+    """The first loop in vertex order is at 1 with body {0}.  Eliminating it
+    first leaves 0 on the cycle 0-1-4-0, and the later loop at 0 then enters
+    the first loop from inside: the recording violates W2/W3 and LLEE1/LLEE4.
+    Innermost-first elimination gives a layered witness."""
+    c = Chart(frozenset("ab"), 0, frozenset(range(5)), frozenset({
+        (0, "b", 1), (1, "a", 0), (1, "b", 0), (1, "b", 4), (2, "a", 2),
+        (2, "b", 3), (3, "a", 3), (3, "b", 0), (4, "a", 0), (4, "a", 2),
+        (4, "b", 0)}), frozenset())
+    assert_agrees_with_oracle(c)
