@@ -41,12 +41,19 @@ class Chart:
     annotations: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.start in self.vertices
-        assert self.terminating <= self.vertices
-        for v, label, w in self.transitions:
-            assert v in self.vertices and w in self.vertices
-            assert label == EMPTY or label in self.alphabet
-        assert EMPTY not in self.alphabet
+        # raised, not asserted, so that running under -O keeps the checks
+        if self.start not in self.vertices:
+            raise ValueError(f"start {self.start!r} is not a vertex")
+        if not self.terminating <= self.vertices:
+            raise ValueError("terminating vertices must be vertices")
+        for t in self.transitions:
+            v, label, w = t
+            if v not in self.vertices or w not in self.vertices:
+                raise ValueError(f"transition {t!r} has an endpoint that is not a vertex")
+            if label != EMPTY and label not in self.alphabet:
+                raise ValueError(f"transition {t!r} has a label outside the alphabet")
+        if EMPTY in self.alphabet:
+            raise ValueError(f"the empty-step label {EMPTY!r} cannot be an action")
 
     def out(self, v: int) -> list[Transition]:
         return sorted(t for t in self.transitions if t[0] == v)
@@ -64,8 +71,10 @@ class EntryBodyLabeling:
     marking: dict[Transition, int]
 
     def __post_init__(self):
-        assert set(self.marking) == set(self.chart.transitions)
-        assert all(m >= 0 for m in self.marking.values())
+        if set(self.marking) != set(self.chart.transitions):
+            raise ValueError("the marking must cover exactly the chart's transitions")
+        if any(m < 0 for m in self.marking.values()):
+            raise ValueError("markings must be natural numbers")
 
 
 # ---------------------------------------------------------------------------

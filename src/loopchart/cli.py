@@ -13,8 +13,8 @@ from typing import Iterator, Optional, Sequence, Union
 from . import bisim, charts, lee, semantics
 from .charts import Chart, EntryBodyLabeling, SchemaError
 from .syntax import (
-    Act, One, ParseError, Prod, Star, StarExpr, Sum, Zero, parse_star_expr,
-    project, render,
+    IDENT_RE, Act, One, ParseError, Prod, Star, StarExpr, Sum, Zero,
+    parse_star_expr, project, render,
 )
 
 
@@ -92,7 +92,8 @@ def verify_p2(e: StarExpr) -> VerifyReport:
 def enumerate_exprs(alphabet: Sequence[str], max_size: int) -> Iterator[StarExpr]:
     """All star expressions with at most max_size AST nodes, smallest first;
     deterministic order within a size."""
-    assert max_size >= 1
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     by_size: list[list[StarExpr]] = [[]]
     atoms: list[StarExpr] = [Zero(), One()] + [Act(a) for a in sorted(alphabet)]
     for size in range(1, max_size + 1):
@@ -212,6 +213,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _corpus_usage_problem(args, alphabet: list[str]) -> Optional[str]:
+    """What is wrong with the `corpus` arguments, if anything."""
+    for name in alphabet:
+        if not IDENT_RE.fullmatch(name):
+            return f"--alphabet: invalid action name {name!r}"
+    for option, value, least in (("--max-size", args.max_size, 1),
+                                 ("--random", args.random, 0),
+                                 ("--random-max-size", args.random_max_size, 1)):
+        if value < least:
+            return f"{option} must be at least {least}, got {value}"
+    return None
+
+
 def _run_verify(e: StarExpr, which: str, fmt: str) -> int:
     reports = []
     if which in ("p1", "all"):
@@ -288,6 +302,10 @@ def run_cli(argv: Sequence[str]) -> int:
             return _run_verify(parse_star_expr(args.expr), args.property, fmt)
         elif args.command == "corpus":
             alphabet = [x for x in args.alphabet.split(",") if x]
+            problem = _corpus_usage_problem(args, alphabet)
+            if problem is not None:
+                print(f"usage error: {problem}", file=sys.stderr)
+                return 2
             corpus = default_corpus(alphabet, args.max_size, args.random,
                                     args.random_max_size, args.seed)
             failures = 0

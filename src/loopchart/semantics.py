@@ -15,7 +15,7 @@ a finite chart (breadth-first, dense vertex ids in discovery order).
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Union
 
 from .charts import EMPTY, Chart, EntryBodyLabeling
 from .syntax import (
@@ -243,41 +243,39 @@ def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedEx
                 f"marked both {old} and {marking}")
         markings[key] = marking
 
-    def walk(F: StackedExpr, emit: Callable[[str, int, StackedExpr], None]) -> None:
-        if isinstance(F, Plain):
-            e = F.expr
-            if isinstance(e, Act):
-                emit(e.name, BODY, Plain(One()))
-            elif isinstance(e, Sum):
-                # the sum rule discards the premise marking
-                for branch in (e.left, e.right):
-                    for label, _, G in labeled_steps_stacked(Plain(branch)):
-                        emit(label, BODY, G)
-            elif isinstance(e, Prod):
-                for label, m, H in labeled_steps_stacked(Plain(e.left)):
-                    emit(label, m, sprod(H, e.right))
-                if terminates_star(e.left):
-                    for label, _, G in labeled_steps_stacked(Plain(e.right)):
-                        emit(label, BODY, G)
-            elif isinstance(e, Star):
-                if normedness(Plain(e.body))["normed_plus"]:
-                    level = star_height(e)
-                else:
-                    level = BODY
-                for label, _, H in labeled_steps_stacked(Plain(e.body)):
-                    emit(label, level, SStack(H, e))
-        elif isinstance(F, SProd):
-            for label, m, H in labeled_steps_stacked(F.head):
-                emit(label, m, sprod(H, F.tail))
-        elif isinstance(F, SStack):
-            for label, m, H in labeled_steps_stacked(F.head):
-                emit(label, m, SStack(H, F.tail))
-            if terminates_stacked(F.head):
-                emit(EMPTY, BODY, Plain(F.tail))
-        else:
-            raise TypeError(F)
+    if isinstance(E, Plain):
+        e = E.expr
+        if isinstance(e, Act):
+            record(e.name, BODY, Plain(One()))
+        elif isinstance(e, Sum):
+            # the sum rule discards the premise marking
+            for branch in (e.left, e.right):
+                for label, _, G in labeled_steps_stacked(Plain(branch)):
+                    record(label, BODY, G)
+        elif isinstance(e, Prod):
+            for label, m, H in labeled_steps_stacked(Plain(e.left)):
+                record(label, m, sprod(H, e.right))
+            if terminates_star(e.left):
+                for label, _, G in labeled_steps_stacked(Plain(e.right)):
+                    record(label, BODY, G)
+        elif isinstance(e, Star):
+            if normedness(Plain(e.body))["normed_plus"]:
+                level = star_height(e)
+            else:
+                level = BODY
+            for label, _, H in labeled_steps_stacked(Plain(e.body)):
+                record(label, level, SStack(H, e))
+    elif isinstance(E, SProd):
+        for label, m, H in labeled_steps_stacked(E.head):
+            record(label, m, sprod(H, E.tail))
+    elif isinstance(E, SStack):
+        for label, m, H in labeled_steps_stacked(E.head):
+            record(label, m, SStack(H, E.tail))
+        if terminates_stacked(E.head):
+            record(EMPTY, BODY, Plain(E.tail))
+    else:
+        raise TypeError(E)
 
-    walk(E, record)
     result = frozenset((label, m, G) for (label, G), m in markings.items())
     unmarked = frozenset((label, G) for label, _, G in result)
     assert unmarked == steps_stacked(E), "marked steps diverge from unmarked steps"

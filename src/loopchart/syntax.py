@@ -31,46 +31,126 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# interned nodes
+
+class _Node:
+    """An immutable, hash-consed syntax node.
+
+    Constructing a node looks its field tuple up in a per-class table and
+    returns the node already built for those fields, so structurally equal
+    nodes are the same object and equality is identity.  The hash is
+    ``hash(fields)``, computed once from the children's stored hashes: the
+    value a frozen dataclass with these fields would have, so the iteration
+    order of sets and dicts of nodes does not depend on how nodes are built.
+    Tables are never cleared: every node ever built lives for the whole
+    process, like the step-rule memo tables of ``semantics``.
+    """
+
+    __slots__ = ("_hash", "_text")
+    _fields: tuple[str, ...] = ()
+    _table: dict
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("__slots__", ())
+        cls._table = {}
+
+    @staticmethod
+    def _check(*fields) -> None:
+        """Reject invalid fields; runs once per distinct node."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _intern(cls, fields: tuple):
+    node = cls._table.get(fields)
+    if node is None:
+        cls._check(*fields)
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_hash", hash(fields))
+        object.__setattr__(node, "_text", None)
+        node = cls._table.setdefault(fields, node)
+    return node
+
+
+# ---------------------------------------------------------------------------
 # star expressions
 
-class StarExpr:
+# precedence levels of the rendering, loosest first
+_SUM, _PROD, _STAR, _ATOM = 0, 1, 2, 3
+
+
+class StarExpr(_Node):
+    __slots__ = ()
+    _level = _ATOM
+    # defined on each hierarchy, so that wrapping it (as the benchmark's
+    # tracer does to count hashing) covers exactly that hierarchy
+    __hash__ = _Node.__hash__
+
+
+class Zero(StarExpr):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Zero(StarExpr):
-    pass
+    def __new__(cls):
+        return _intern(cls, ())
 
 
-@dataclass(frozen=True)
 class One(StarExpr):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern(cls, ())
 
 
-@dataclass(frozen=True)
 class Act(StarExpr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid action name {self.name!r}")
+    def __new__(cls, name: str):
+        return _intern(cls, (name,))
+
+    @staticmethod
+    def _check(name) -> None:
+        if not IDENT_RE.fullmatch(name):
+            raise ValueError(f"invalid action name {name!r}")
 
 
-@dataclass(frozen=True)
 class Sum(StarExpr):
-    left: StarExpr
-    right: StarExpr
+    __slots__ = ("left", "right")
+    _level = _SUM
+
+    def __new__(cls, left: StarExpr, right: StarExpr):
+        return _intern(cls, (left, right))
 
 
-@dataclass(frozen=True)
 class Prod(StarExpr):
-    left: StarExpr
-    right: StarExpr
+    __slots__ = ("left", "right")
+    _level = _PROD
+
+    def __new__(cls, left: StarExpr, right: StarExpr):
+        return _intern(cls, (left, right))
 
 
-@dataclass(frozen=True)
 class Star(StarExpr):
-    body: StarExpr
+    __slots__ = ("body",)
+    _level = _STAR
+
+    def __new__(cls, body: StarExpr):
+        return _intern(cls, (body,))
 
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z]*[0-9]*")
@@ -79,33 +159,40 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z]*[0-9]*")
 # ---------------------------------------------------------------------------
 # stacked star expressions
 
-class StackedExpr:
+class StackedExpr(_Node):
     __slots__ = ()
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True)
 class Plain(StackedExpr):
-    expr: StarExpr
+    __slots__ = ("expr",)
+
+    def __new__(cls, expr: StarExpr):
+        return _intern(cls, (expr,))
 
 
-@dataclass(frozen=True)
 class SProd(StackedExpr):
-    head: StackedExpr
-    tail: StarExpr
+    __slots__ = ("head", "tail")
 
-    def __post_init__(self):
+    def __new__(cls, head: StackedExpr, tail: StarExpr):
+        return _intern(cls, (head, tail))
+
+    @staticmethod
+    def _check(head, tail) -> None:
         # canonical form: a plain head belongs in a plain product (use sprod)
-        if isinstance(self.head, Plain):
+        if isinstance(head, Plain):
             raise ValueError("SProd over a Plain head; use sprod() to build products")
 
 
-@dataclass(frozen=True)
 class SStack(StackedExpr):
-    head: StackedExpr
-    tail: Star
+    __slots__ = ("head", "tail")
 
-    def __post_init__(self):
-        if not isinstance(self.tail, Star):
+    def __new__(cls, head: StackedExpr, tail: Star):
+        return _intern(cls, (head, tail))
+
+    @staticmethod
+    def _check(head, tail) -> None:
+        if not isinstance(tail, Star):
             raise ValueError("SStack tail must be a Star")
 
 
@@ -216,57 +303,60 @@ def actions_of(e: StarExpr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # rendering
 
-# precedence levels: sum < stack(@) is kept lowest for stacked values
-_SUM, _PROD, _STAR, _ATOM = 0, 1, 2, 3
+def _wrap(e: StarExpr, need: int) -> str:
+    """The cached text of `e`, parenthesized where it binds looser than `need`."""
+    return "(" + e._text + ")" if e._level < need else e._text
 
 
-def _level(e: StarExpr) -> int:
-    if isinstance(e, Sum):
-        return _SUM
-    if isinstance(e, Prod):
-        return _PROD
-    if isinstance(e, Star):
-        return _STAR
-    return _ATOM
-
-
-def _render_expr(e: StarExpr, need: int) -> str:
-    if isinstance(e, Zero):
-        s = "0"
-    elif isinstance(e, One):
-        s = "1"
-    elif isinstance(e, Act):
-        s = e.name
-    elif isinstance(e, Sum):
-        s = _render_expr(e.left, _SUM) + " + " + _render_expr(e.right, _PROD)
-    elif isinstance(e, Prod):
-        s = _render_expr(e.left, _PROD) + "." + _render_expr(e.right, _STAR)
-    elif isinstance(e, Star):
-        s = _render_expr(e.body, _STAR) + "*"
-    else:
-        raise TypeError(e)
-    if _level(e) < need:
-        return "(" + s + ")"
-    return s
+def _text_of(node: _Node) -> str:
+    """Text of `node` from its children's cached texts."""
+    if isinstance(node, Zero):
+        return "0"
+    if isinstance(node, One):
+        return "1"
+    if isinstance(node, Act):
+        return node.name
+    if isinstance(node, Sum):
+        return _wrap(node.left, _SUM) + " + " + _wrap(node.right, _PROD)
+    if isinstance(node, Prod):
+        return _wrap(node.left, _PROD) + "." + _wrap(node.right, _STAR)
+    if isinstance(node, Star):
+        return _wrap(node.body, _STAR) + "*"
+    if isinstance(node, Plain):
+        return node.expr._text
+    if isinstance(node, SProd):
+        head = node.head._text
+        if isinstance(node.head, SStack):
+            head = "(" + head + ")"
+        return head + "." + _wrap(node.tail, _STAR)
+    if isinstance(node, SStack):
+        head = node.head._text
+        if isinstance(node.head, Plain) and isinstance(node.head.expr, Sum):
+            head = "(" + head + ")"
+        return head + " @ " + _wrap(node.tail, _STAR)
+    raise TypeError(node)
 
 
 def render(value: Union[StarExpr, StackedExpr]) -> str:
-    """Parenthesization-minimal text; `@` is the stacked-star layer token."""
-    if isinstance(value, StarExpr):
-        return _render_expr(value, _SUM)
-    if isinstance(value, Plain):
-        return _render_expr(value.expr, _SUM)
-    if isinstance(value, SProd):
-        head = render(value.head)
-        if isinstance(value.head, SStack):
-            head = "(" + head + ")"
-        return head + "." + _render_expr(value.tail, _STAR)
-    if isinstance(value, SStack):
-        head = render(value.head)
-        if isinstance(value.head, Plain) and isinstance(value.head.expr, Sum):
-            head = "(" + head + ")"
-        return head + " @ " + _render_expr(value.tail, _STAR)
-    raise TypeError(value)
+    """Parenthesization-minimal text; `@` is the stacked-star layer token.
+
+    Each node's text is computed once, bottom-up without recursion, and
+    cached on the node."""
+    if not isinstance(value, _Node):
+        raise TypeError(value)
+    stack = [value]
+    while value._text is None:
+        node = stack.pop()
+        if node._text is not None:
+            continue
+        pending = [child for child in map(node.__getattribute__, node._fields)
+                   if isinstance(child, _Node) and child._text is None]
+        if pending:
+            stack.append(node)
+            stack.extend(pending)
+        else:
+            object.__setattr__(node, "_text", _text_of(node))
+    return value._text
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +384,17 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Precedence parser for
+
+        expr     ::= prodterm ("+" prodterm)*
+        prodterm ::= starterm ("." starterm)*
+        starterm ::= atom "*"*
+        atom     ::= "0" | "1" | identifier | "(" expr ")"
+
+    Sums and products associate to the left.  It runs without recursion:
+    each open parenthesis pushes the enclosing expression's unfinished sum
+    and product onto an explicit stack, so nesting depth is unbounded."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = list(_tokenize(text))
@@ -312,45 +413,46 @@ class _Parser:
         raise ParseError(f"unexpected {what}", offset, frozenset(expected))
 
     def parse_expr(self) -> StarExpr:
-        left = self.parse_prodterm()
-        while self.current[0] == "+":
+        # the unfinished sum and product of each enclosing parenthesis
+        outer: list[tuple[Optional[StarExpr], Optional[StarExpr]]] = []
+        total: Optional[StarExpr] = None
+        product: Optional[StarExpr] = None
+        while True:
+            kind, value, _ = self.current
+            if kind == "(":
+                self.advance()
+                outer.append((total, product))
+                total = product = None
+                continue
+            if kind == "0":
+                term = Zero()
+            elif kind == "1":
+                term = One()
+            elif kind == "ident":
+                term = Act(value)
+            else:
+                self.fail({"0", "1", "identifier", "("})
             self.advance()
-            left = Sum(left, self.parse_prodterm())
-        return left
-
-    def parse_prodterm(self) -> StarExpr:
-        left = self.parse_starterm()
-        while self.current[0] == ".":
-            self.advance()
-            left = Prod(left, self.parse_starterm())
-        return left
-
-    def parse_starterm(self) -> StarExpr:
-        e = self.parse_atom()
-        while self.current[0] == "*":
-            self.advance()
-            e = Star(e)
-        return e
-
-    def parse_atom(self) -> StarExpr:
-        kind, value, _ = self.current
-        if kind == "0":
-            self.advance()
-            return Zero()
-        if kind == "1":
-            self.advance()
-            return One()
-        if kind == "ident":
-            self.advance()
-            return Act(value)
-        if kind == "(":
-            self.advance()
-            e = self.parse_expr()
-            if self.current[0] != ")":
-                self.fail({")"})
-            self.advance()
-            return e
-        self.fail({"0", "1", "identifier", "("})
+            while True:
+                while self.current[0] == "*":
+                    self.advance()
+                    term = Star(term)
+                product = term if product is None else Prod(product, term)
+                if self.current[0] == ".":
+                    self.advance()
+                    break
+                total = product if total is None else Sum(total, product)
+                product = None
+                if self.current[0] == "+":
+                    self.advance()
+                    break
+                if not outer:
+                    return total
+                if self.current[0] != ")":
+                    self.fail({")"})
+                self.advance()
+                term = total
+                total, product = outer.pop()
 
 
 def parse_star_expr(text: str) -> StarExpr:

@@ -5,6 +5,7 @@ capture) and then asserts.  The expensive corpus pass is computed once per
 module and shared.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -214,3 +215,18 @@ def test_criterion_10_witness_implies_lee(capfd, chart_g0, e_expr, f_expr):
             if not lee.decide_lee(labeling.chart).holds:
                 counterexamples += 1
     report(capfd, 10, "accepted witnesses satisfy LEE", counterexamples == 0)
+
+
+# sha256 over to_json(chart_of(e)) and to_json(labeled_onechart_of(e)) for
+# every corpus expression in order, recorded before expression nodes were
+# hash-consed; it does not depend on PYTHONHASHSEED
+CORPUS_JSON_SHA256 = "3e2fd0624fb1551244aeb0f75026a7aaab0dad285874fbd26290823b5183147b"
+
+
+def test_corpus_chart_json_is_unchanged(corpus_results):
+    """Vertex numbering and chart JSON are part of the output contract."""
+    digest = hashlib.sha256()
+    for e in corpus_results.expressions:
+        digest.update(to_json(semantics.chart_of(e)).encode())
+        digest.update(to_json(semantics.labeled_onechart_of(e)).encode())
+    assert digest.hexdigest() == CORPUS_JSON_SHA256

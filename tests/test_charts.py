@@ -1,5 +1,9 @@
 """Chart model: induced charts, reachability, cycles, JSON, and DOT."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from loopchart import semantics
@@ -109,3 +113,26 @@ def test_dot_output(e_expr):
     assert "style=dotted" in dot  # empty steps
     assert "[2]" in dot  # entry markings
     assert "doublecircle" in dot  # the terminating start vertex
+
+
+def test_chart_invariants_hold_under_optimize():
+    # the invariants are checked by raising, so -O does not remove them
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    script = ("from loopchart.charts import Chart\n"
+              "try:\n"
+              "    Chart(frozenset({'a'}), 5, frozenset({0}), frozenset(), frozenset())\n"
+              "except ValueError as err:\n"
+              "    print(err)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "start 5 is not a vertex"
+
+
+def test_chart_invariants_raise_value_error(chart_e):
+    with pytest.raises(ValueError, match="endpoint"):
+        Chart(frozenset({"a"}), 0, frozenset({0}), frozenset({(0, "a", 1)}),
+              frozenset())
+    with pytest.raises(ValueError, match="marking"):
+        EntryBodyLabeling(chart_e, {})

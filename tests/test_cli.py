@@ -150,9 +150,33 @@ def test_cli_invalid_budget_env_exit_2(monkeypatch, capsys):
 
 
 def test_cli_deep_nesting_exit_2(capsys):
-    assert run_cli(["chart", "(" * 300 + "a" + ")" * 300]) == 2
+    # the step rules still recurse once per nested product
+    assert run_cli(["chart", ".".join(["a"] * 3000)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_cli_deep_parentheses_exit_0(capsys):
+    assert run_cli(["chart", "(" * 1000 + "a" + ")" * 1000]) == 0
+    assert capsys.readouterr().out.startswith("chart: 2 vertices")
+
+
+def test_cli_verify_long_product_chain(capsys):
+    assert run_cli(["verify", ".".join(["a"] * 500)]) == 0
+    out = capsys.readouterr().out
+    assert "P1: pass" in out and "P2: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-size", "0"],
+    ["--random-max-size", "0"],
+    ["--alphabet", "1"],
+    ["--random", "-1"],
+])
+def test_cli_corpus_usage_errors_exit_2(capsys, argv):
+    assert run_cli(["corpus", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("error", [semantics.StateExplosion,

@@ -1,5 +1,8 @@
 """Parser, renderer, and the structural helpers on expressions."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,3 +120,60 @@ def test_fill_decompose_identity_on_interpretation_states(e):
     for E in exprs_map.values():
         cxt, core = decompose(E)
         assert fill(cxt, Plain(core)) == E
+
+
+def test_nodes_are_interned():
+    assert parse_star_expr("a + b") is Sum(Act("a"), Act("b"))
+    assert Plain(Star(Act("a"))) is Plain(parse_star_expr("a*"))
+    assert Zero() is Zero() and Zero() is not One()
+    e = parse_star_expr("(a*.b*)*")
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(SStack(Plain(e), e)) is SStack(Plain(e), e)
+
+
+def test_hash_is_the_hash_of_the_fields():
+    x, y = Act("a"), Star(Act("b"))
+    assert hash(Sum(x, y)) == hash((x, y))
+    assert hash(x) == hash(("a",))
+    assert hash(Zero()) == hash(())
+    assert hash(SStack(Plain(x), y)) == hash((Plain(x), y))
+
+
+def test_nodes_are_immutable():
+    e = Prod(Act("a"), Act("b"))
+    with pytest.raises(AttributeError):
+        e.left = Act("c")
+    with pytest.raises(AttributeError):
+        del e.right
+    with pytest.raises(AttributeError):
+        Act("a").name = "b"
+    assert e == Prod(Act("a"), Act("b"))
+
+
+def test_constructors_reject_invalid_fields():
+    with pytest.raises(ValueError, match="invalid action name"):
+        Act("1")
+    with pytest.raises(ValueError, match="SProd over a Plain head"):
+        SProd(Plain(Act("a")), Act("b"))
+    with pytest.raises(ValueError, match="SStack tail must be a Star"):
+        SStack(Plain(One()), Act("a"))
+
+
+def test_repr_names_the_fields():
+    assert repr(Sum(Act("a"), Zero())) == "Sum(left=Act(name='a'), right=Zero())"
+    assert repr(SStack(Plain(One()), Star(Act("a")))) == (
+        "SStack(head=Plain(expr=One()), tail=Star(body=Act(name='a')))")
+
+
+def test_parse_and_render_deep_terms_without_recursion():
+    assert parse_star_expr("(" * 5000 + "a" + ")" * 5000) is Act("a")
+    chain = Act("a")
+    for _ in range(4999):
+        chain = Prod(chain, Act("a"))
+    text = ".".join(["a"] * 5000)
+    assert render(chain) == text
+    assert parse_star_expr(text) is chain
+    unclosed = "(" * 3000 + "a" + ")" * 2999
+    with pytest.raises(ParseError) as info:
+        parse_star_expr(unclosed)
+    assert info.value.offset == len(unclosed) and info.value.expected == {")"}
