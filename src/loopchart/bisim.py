@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .charts import Chart, UnknownVertex, reachable
+from .charts import Chart, UnknownVertex, reach, reachable
 
 
 class CapExceeded(Exception):
@@ -122,20 +122,7 @@ def collapse(c: Chart) -> tuple[Chart, dict[int, int]]:
     r = reachable(c)
     block = _refine([r])
     # dense new ids in BFS discovery order of block representatives
-    order: list[int] = []
-    seen_blocks: set[int] = set()
-    queue = [r.start]
-    visited = {r.start}
-    while queue:
-        v = queue.pop(0)
-        b = block[(0, v)]
-        if b not in seen_blocks:
-            seen_blocks.add(b)
-            order.append(b)
-        for _, label, w in sorted(t for t in r.transitions if t[0] == v):
-            if w not in visited:
-                visited.add(w)
-                queue.append(w)
+    order = dict.fromkeys(block[(0, v)] for v in reach(r.out_index().get, [r.start]))
     new_id = {b: i for i, b in enumerate(order)}
     qmap = {v: new_id[block[(0, v)]] for v in r.vertices}
     quotient = Chart(

@@ -33,12 +33,18 @@ Transition = tuple[int, str, int]
 
 @dataclass
 class Chart:
+    """Charts are never modified after construction, so operations may
+    return their argument, and the adjacency index never goes stale."""
+
     alphabet: frozenset[str]
     start: int
     vertices: frozenset[int]
     transitions: frozenset[Transition]
     terminating: frozenset[int]
     annotations: dict[int, str] = field(default_factory=dict)
+    # vertex -> its outgoing transitions, sorted; built on first use
+    _out: Optional[dict[int, list[Transition]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # raised, not asserted, so that running under -O keeps the checks
@@ -55,8 +61,26 @@ class Chart:
         if EMPTY in self.alphabet:
             raise ValueError(f"the empty-step label {EMPTY!r} cannot be an action")
 
+    def out_index(self) -> dict[int, list[Transition]]:
+        """Each vertex's outgoing transitions in sorted order; vertices
+        without any are absent.  The lists are shared: do not modify them."""
+        index = self._out
+        if index is None:
+            index = {}
+            for t in self.transitions:
+                ts = index.get(t[0])
+                if ts is None:
+                    index[t[0]] = [t]
+                else:
+                    ts.append(t)
+            for ts in index.values():
+                ts.sort()
+            self._out = index
+        return index
+
     def out(self, v: int) -> list[Transition]:
-        return sorted(t for t in self.transitions if t[0] == v)
+        """v's outgoing transitions in sorted order (a shared list)."""
+        return self.out_index().get(v, [])
 
     @property
     def one_transitions(self) -> frozenset[Transition]:
@@ -80,23 +104,37 @@ class EntryBodyLabeling:
 # ---------------------------------------------------------------------------
 # structural operations
 
-def reachable(c: Chart) -> Chart:
-    """Restrict to the vertices reachable from the start (all labels)."""
-    succ: dict[int, list[int]] = {}
-    for v, _, w in c.transitions:
-        succ.setdefault(v, []).append(w)
-    seen = {c.start}
-    queue = [c.start]
-    while queue:
-        v = queue.pop()
-        for w in succ.get(v, ()):
+def reach(steps, roots, stop=frozenset()) -> list:
+    """Breadth-first search: the distinct vertices reachable from `roots`,
+    in discovery order, roots first.  `steps(v)` gives v's steps or None,
+    and a step's last item is its target, so a chart's `out_index().get`
+    and a step-rule function both fit.  Members of `stop` are reached but
+    not expanded."""
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
+    for v in order:
+        if v in stop:
+            continue
+        for step in steps(v) or ():
+            w = step[-1]
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                order.append(w)
+    return order
+
+
+def reachable(c: Chart) -> Chart:
+    """Restrict to the vertices reachable from the start (all labels).
+    Returns c itself when every vertex is reachable: no code modifies a
+    chart after construction, so the result may be shared."""
+    order = reach(c.out_index().get, [c.start])
+    if len(order) == len(c.vertices):
+        return c
+    seen = frozenset(order)
     return Chart(
         alphabet=c.alphabet,
         start=c.start,
-        vertices=frozenset(seen),
+        vertices=seen,
         transitions=frozenset(t for t in c.transitions if t[0] in seen),
         terminating=c.terminating & seen,
         annotations={v: a for v, a in c.annotations.items() if v in seen},
@@ -113,72 +151,44 @@ def rooted_subchart(c: Chart, v: int) -> Chart:
 
 def has_infinite_path(c: Chart) -> bool:
     """True iff a cycle is reachable from the start (finite chart)."""
-    succ: dict[int, list[int]] = {}
-    for v, _, w in c.transitions:
-        succ.setdefault(v, []).append(w)
-    return _has_cycle(succ, [c.start])
-
-
-def _has_cycle(succ: dict[int, list[int]], roots: list[int]) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    for root in roots:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: list[tuple[int, iter]] = [(root, iter(succ.get(root, ())))]
-        color[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                state = color.get(w, WHITE)
-                if state == GRAY:
-                    return True
-                if state == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return False
+    return _cycle(c, [c.start], c.vertices) is not None
 
 
 def find_cycle(c: Chart, allowed: frozenset[int]) -> Optional[list[int]]:
     """Some cycle lying entirely within `allowed` vertices, as a vertex list."""
-    succ: dict[int, list[int]] = {}
-    for v, _, w in c.transitions:
-        if v in allowed and w in allowed:
-            succ.setdefault(v, []).append(w)
-    color: dict[int, int] = {}
+    return _cycle(c, sorted(allowed), allowed)
+
+
+def _cycle(c: Chart, roots, allowed) -> Optional[list[int]]:
+    """The first cycle through `allowed` vertices that a depth-first search
+    from `roots` meets, following transitions in sorted order."""
+    out = c.out_index().get
+    on_stack: dict[int, bool] = {}  # False once a vertex is finished
     parent: dict[int, int] = {}
-    for root in sorted(allowed):
-        if color.get(root, 0) != 0:
+    for root in roots:
+        if root in on_stack:
             continue
-        stack = [(root, iter(succ.get(root, ())))]
-        color[root] = 1
+        on_stack[root] = True
+        stack = [(root, iter(out(root, ())))]
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for w in it:
-                state = color.get(w, 0)
-                if state == 1:
+            for _, _, w in it:
+                if w not in allowed:
+                    continue
+                state = on_stack.get(w)
+                if state is None:
+                    on_stack[w] = True
+                    parent[w] = v
+                    stack.append((w, iter(out(w, ()))))
+                    break
+                if state:
                     cycle = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cycle.append(x)
+                    while cycle[-1] != w:
+                        cycle.append(parent[cycle[-1]])
                     cycle.reverse()
                     return cycle
-                if state == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
+            else:
+                on_stack[v] = False
                 stack.pop()
     return None
 
@@ -187,36 +197,21 @@ def induced_of(c: Chart) -> Chart:
     """Compile the empty steps away: a-transitions after any 1-prefix,
     termination through 1-paths.  Vertex set and start are unchanged
     (garbage collection is a separate `reachable` pass)."""
-    one_succ: dict[int, list[int]] = {}
-    for v, label, w in c.transitions:
-        if label == EMPTY:
-            one_succ.setdefault(v, []).append(w)
-
-    def one_closure(v: int) -> set[int]:
-        seen = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for y in one_succ.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    proper: dict[int, list[tuple[str, int]]] = {}
-    for v, label, w in c.transitions:
-        if label != EMPTY:
-            proper.setdefault(v, []).append((label, w))
-
+    out = c.out_index()
+    empty_out: dict[int, list[Transition]] = {}
+    for t in c.transitions:
+        if t[1] == EMPTY:
+            empty_out.setdefault(t[0], []).append(t)
     transitions = set()
     terminating = set()
     for v in c.vertices:
-        closure = one_closure(v)
-        if closure & c.terminating:
+        closure = reach(empty_out.get, [v])
+        if not c.terminating.isdisjoint(closure):
             terminating.add(v)
         for x in closure:
-            for label, w in proper.get(x, ()):
-                transitions.add((v, label, w))
+            for _, label, w in out.get(x, ()):
+                if label != EMPTY:
+                    transitions.add((v, label, w))
     return Chart(c.alphabet, c.start, c.vertices, frozenset(transitions),
                  frozenset(terminating), dict(c.annotations))
 
@@ -224,21 +219,12 @@ def induced_of(c: Chart) -> Chart:
 def canonical_key(c: Chart):
     """Breadth-first renumbering from the start; a deterministic structural
     key of the reachable part, used for memoization."""
-    new: dict[int, int] = {c.start: 0}
-    order = [c.start]
-    index = 0
-    while index < len(order):
-        v = order[index]
-        index += 1
-        for _, label, w in sorted(t for t in c.transitions if t[0] == v):
-            if w not in new:
-                new[w] = len(order)
-                order.append(w)
+    new = {v: i for i, v in enumerate(reach(c.out_index().get, [c.start]))}
     transitions = frozenset(
         (new[v], label, new[w]) for v, label, w in c.transitions
         if v in new and w in new)
     terminating = frozenset(new[v] for v in c.terminating if v in new)
-    return (len(order), transitions, terminating)
+    return (len(new), transitions, terminating)
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,18 @@ def _corpus_usage_problem(args, alphabet: list[str]) -> Optional[str]:
     return None
 
 
-def _run_verify(e: StarExpr, which: str, fmt: str) -> int:
+def _verify_reports(e: StarExpr, which: str) -> list[VerifyReport]:
+    """The reports `--property which` asks for."""
     reports = []
     if which in ("p1", "all"):
         reports.append(verify_p1(e))
     if which in ("p2", "all"):
         reports.append(verify_p2(e))
+    return reports
+
+
+def _run_verify(e: StarExpr, which: str, fmt: str) -> int:
+    reports = _verify_reports(e, which)
     for report in reports:
         if fmt == "json":
             print(report.to_json())
@@ -310,12 +316,7 @@ def run_cli(argv: Sequence[str]) -> int:
                                     args.random_max_size, args.seed)
             failures = 0
             for e in corpus:
-                reports = []
-                if args.property in ("p1", "all"):
-                    reports.append(verify_p1(e))
-                if args.property in ("p2", "all"):
-                    reports.append(verify_p2(e))
-                for report in reports:
+                for report in _verify_reports(e, args.property):
                     if not report.passed:
                         failures += 1
                         if fmt == "json":

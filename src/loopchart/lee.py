@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import Optional
 
 from .charts import (
-    EMPTY, Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
-    find_cycle, has_infinite_path, reachable, rooted_subchart,
+    Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
+    find_cycle, has_infinite_path, reach, reachable,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -56,7 +56,9 @@ class EliminationStep:
     def __post_init__(self):
         if not self.entry_set:
             raise EmptyEntrySet(self.vertex)
-        assert all(t[0] == self.vertex for t in self.entry_set)
+        # raised, not asserted, so that running under -O keeps the check
+        if any(t[0] != self.vertex for t in self.entry_set):
+            raise ValueError(f"an entry does not depart from vertex {self.vertex}")
 
 
 @dataclass
@@ -118,27 +120,26 @@ def loop_subchart_generated(c: Chart, v: int,
     for t in entry_set:
         if t not in c.transitions or t[0] != v:
             raise UnknownVertex(t)
-    vertices = {v}
+    return _loop_subchart(c, v, entry_set, c.out_index().get)
+
+
+def _loop_subchart(c: Chart, v: int, entry_set: frozenset[Transition],
+                   steps) -> Chart:
+    """v, the entry set, and the transitions that `steps` gives from every
+    vertex the entries lead to, up to v."""
+    inside = reach(steps, [w for _, _, w in entry_set], {v})
     transitions = set(entry_set)
-    queue = [w for _, _, w in entry_set if w != v]
-    vertices.update(w for _, _, w in entry_set)
-    seen = set(queue)
-    while queue:
-        x = queue.pop()
-        for t in c.out(x):
-            _, _, w = t
-            transitions.add(t)
-            vertices.add(w)
-            if w != v and w not in seen:
-                seen.add(w)
-                queue.append(w)
+    for x in inside:
+        if x != v:
+            transitions.update(steps(x) or ())
+    vertices = frozenset(inside) | {v}
     return Chart(
         alphabet=c.alphabet,
         start=v,
-        vertices=frozenset(vertices),
+        vertices=vertices,
         transitions=frozenset(transitions),
         terminating=c.terminating & vertices,
-        annotations={x: a for x, a in c.annotations.items() if x in vertices},
+        annotations={x: c.annotations[x] for x in vertices if x in c.annotations},
     )
 
 
@@ -250,10 +251,10 @@ def _on_cycle_through(c: Chart, v: int) -> frozenset[int]:
     """The vertices reachable from v that reach v back.  After a loop at v
     is eliminated, a vertex of its body lies on a cycle only through v: a
     cycle avoiding v would have lain in the loop subchart (L2)."""
-    reverse = Chart(c.alphabet, v, c.vertices,
-                    frozenset((w, label, x) for x, label, w in c.transitions),
-                    frozenset())
-    return reachable(reverse).vertices & rooted_subchart(c, v).vertices
+    into: dict[int, list[Transition]] = {}
+    for t in c.transitions:
+        into.setdefault(t[2], []).append(t[::-1])
+    return frozenset(reach(into.get, [v])).intersection(reach(c.out_index().get, [v]))
 
 
 def exhaustive_lee(c: Chart) -> LeeResult:
@@ -319,38 +320,9 @@ def entries_of(labeling: EntryBodyLabeling) -> set[tuple[int, int]]:
     return {(t[0], m) for t, m in labeling.marking.items() if m >= 1}
 
 
-def _entry_loop_chart(labeling: EntryBodyLabeling, v: int, level: int) -> Chart:
-    """The structure generated by (v, level): a level entry from v, then body
-    transitions only, halting when v is revisited."""
-    c = labeling.chart
-    entry_set = frozenset(t for t, m in labeling.marking.items()
-                          if t[0] == v and m == level)
-    body_out: dict[int, list[Transition]] = {}
-    for t, m in labeling.marking.items():
-        if m == 0:
-            body_out.setdefault(t[0], []).append(t)
-    vertices = {v}
-    transitions = set(entry_set)
-    vertices.update(w for _, _, w in entry_set)
-    queue = [w for _, _, w in entry_set if w != v]
-    seen = set(queue)
-    while queue:
-        x = queue.pop()
-        for t in body_out.get(x, ()):
-            _, _, w = t
-            transitions.add(t)
-            vertices.add(w)
-            if w != v and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return Chart(
-        alphabet=c.alphabet,
-        start=v,
-        vertices=frozenset(vertices),
-        transitions=frozenset(transitions),
-        terminating=c.terminating & vertices,
-        annotations={},
-    )
+def _body_out(c: Chart, marking: dict[Transition, int]) -> dict[int, list[Transition]]:
+    """Each vertex's outgoing body (marking 0) transitions, sorted."""
+    return {v: [t for t in ts if marking[t] == 0] for v, ts in c.out_index().items()}
 
 
 def validate_llee(labeling: EntryBodyLabeling) -> WitnessReport:
@@ -369,9 +341,12 @@ def validate_llee(labeling: EntryBodyLabeling) -> WitnessReport:
         violations.append({"condition": "W1", "cycle": cycle,
                            "detail": "infinite body-step path"})
 
-    restricted = EntryBodyLabeling(c, marking)
-    for v, level in sorted(entries_of(restricted)):
-        generated = _entry_loop_chart(restricted, v, level)
+    # the structure generated by (v, level): a level entry from v, then body
+    # transitions only, halting when v is revisited
+    body_steps = _body_out(c, marking).get
+    for v, level in sorted({(t[0], m) for t, m in marking.items() if m >= 1}):
+        entry_set = frozenset(t for t in c.out(v) if marking[t] == level)
+        generated = _loop_subchart(c, v, entry_set, body_steps)
         inner = check_loop_chart(generated)
         if not inner.ok:
             violations.append({"condition": "W2", "entry": [v, level],
@@ -398,21 +373,7 @@ def validate_llee_alt(labeling: EntryBodyLabeling) -> WitnessReport:
     marking = {t: m for t, m in labeling.marking.items() if t in c.transitions}
     violations = []
 
-    body_succ: dict[int, set[int]] = {}
-    for t, m in marking.items():
-        if m == 0:
-            body_succ.setdefault(t[0], set()).add(t[2])
-
-    def body_reach(start: int) -> set[int]:
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in body_succ.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+    body_steps = _body_out(c, marking).get
 
     body = Chart(c.alphabet, c.start, c.vertices,
                  frozenset(t for t, m in marking.items() if m == 0),
@@ -424,9 +385,8 @@ def validate_llee_alt(labeling: EntryBodyLabeling) -> WitnessReport:
     # (1) whenever (source, level) has entries, some level entry followed by
     # body steps leads back to the source
     for source, level in sorted({(t[0], m) for t, m in marking.items() if m >= 1}):
-        firsts = [t[2] for t, m in marking.items()
-                  if t[0] == source and m == level]
-        if not any(source in body_reach(first) for first in firsts):
+        firsts = [t[2] for t in c.out(source) if marking[t] == level]
+        if not any(source in reach(body_steps, [first]) for first in firsts):
             violations.append({"condition": "LLEE1", "entry": [source, level],
                                "detail": "no entry loops back to the source "
                                          "through body steps"})
@@ -438,23 +398,16 @@ def validate_llee_alt(labeling: EntryBodyLabeling) -> WitnessReport:
 
         # vertices reachable from the entry by body steps avoiding the
         # source as a target
-        avoiding: set[int] = set()
-        if first != source:
-            avoiding.add(first)
-            queue = [first]
-            while queue:
-                x = queue.pop()
-                for y in body_succ.get(x, ()):
-                    if y != source and y not in avoiding:
-                        avoiding.add(y)
-                        queue.append(y)
+        avoiding = set(reach(body_steps, [first], {source}))
+        avoiding.discard(source)
         for w in sorted(avoiding):
             if w in c.terminating:
                 violations.append({"condition": "LLEE3", "transition": list(t),
                                    "vertex": w,
                                    "detail": "termination strictly inside the loop"})
-            for t2, m2 in sorted(marking.items()):
-                if t2[0] == w and m2 >= level:
+            for t2 in c.out(w):
+                m2 = marking[t2]
+                if m2 >= level:
                     violations.append({"condition": "LLEE4", "transition": list(t),
                                        "inner": list(t2), "level": m2,
                                        "detail": "inner entry level not below the outer level"})

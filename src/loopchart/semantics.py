@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .charts import EMPTY, Chart, EntryBodyLabeling
+from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
     Act, One, Plain, Prod, SProd, SStack, Star, StarExpr, StackedExpr, Sum,
     Zero, actions_of, render, sprod, star_height,
@@ -147,7 +147,7 @@ def normedness(E: StackedExpr) -> dict[str, bool]:
     if cached is not None:
         return cached
 
-    states = _generated(E)
+    states = set(reach(steps_stacked, [E]))
     term = {F for F in states if terminates_stacked(F)}
 
     # termination / induced termination reachable through empty steps only
@@ -162,9 +162,10 @@ def normedness(E: StackedExpr) -> dict[str, bool]:
                 changed = True
 
     # induced transitions: empty steps, then one proper step
+    empty_steps = {F: [s for s in steps_stacked(F) if s[0] == EMPTY] for F in states}
     induced_succ: dict[StackedExpr, set[StackedExpr]] = {}
     for F in states:
-        closure = _empty_closure(F)
+        closure = reach(empty_steps.get, [F])
         induced_succ[F] = {
             G for F1 in closure for label, G in steps_stacked(F1) if label != EMPTY
         }
@@ -191,30 +192,6 @@ def normedness(E: StackedExpr) -> dict[str, bool]:
     for F in states:
         _NORMED_CACHE[F] = {"normed": F in normed, "normed_plus": F in normed_plus}
     return _NORMED_CACHE[E]
-
-
-def _generated(E: StackedExpr) -> set[StackedExpr]:
-    seen = {E}
-    queue = [E]
-    while queue:
-        F = queue.pop()
-        for _, G in steps_stacked(F):
-            if G not in seen:
-                seen.add(G)
-                queue.append(G)
-    return seen
-
-
-def _empty_closure(E: StackedExpr) -> set[StackedExpr]:
-    seen = {E}
-    queue = [E]
-    while queue:
-        F = queue.pop()
-        for label, G in steps_stacked(F):
-            if label == EMPTY and G not in seen:
-                seen.add(G)
-                queue.append(G)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -389,5 +366,4 @@ def labeled_onechart_of_with_exprs(
     for vid, E in exprs.items():
         for label, m, target in labeled_steps_stacked(E):
             marking[(vid, label, back[target])] = m
-    assert set(marking) == set(chart.transitions)
     return EntryBodyLabeling(chart, marking), exprs

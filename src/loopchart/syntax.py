@@ -17,7 +17,6 @@ keep stacked values canonical: ``sprod`` collapses ``SProd(Plain(h), t)`` to
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 
@@ -201,66 +200,6 @@ def sprod(head: StackedExpr, tail: StarExpr) -> StackedExpr:
     if isinstance(head, Plain):
         return Plain(Prod(head.expr, tail))
     return SProd(head, tail)
-
-
-# ---------------------------------------------------------------------------
-# applicative contexts
-
-class AppCxt:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Hole(AppCxt):
-    pass
-
-
-@dataclass(frozen=True)
-class CProd(AppCxt):
-    inner: AppCxt
-    tail: StarExpr
-
-
-@dataclass(frozen=True)
-class CStack(AppCxt):
-    inner: AppCxt
-    tail: Star
-
-
-def fill(cxt: AppCxt, value: StackedExpr) -> StackedExpr:
-    """Substitute `value` for the hole of `cxt`."""
-    if isinstance(cxt, Hole):
-        return value
-    if isinstance(cxt, CProd):
-        return sprod(fill(cxt.inner, value), cxt.tail)
-    if isinstance(cxt, CStack):
-        return SStack(fill(cxt.inner, value), cxt.tail)
-    raise TypeError(cxt)
-
-
-def decompose(value: StackedExpr) -> tuple[AppCxt, StarExpr]:
-    """Split a stacked expression into its applicative layers and plain core.
-
-    fill(cxt, Plain(core)) reconstructs the input.
-    """
-    if isinstance(value, Plain):
-        return Hole(), value.expr
-    if isinstance(value, SProd):
-        cxt, core = decompose(value.head)
-        return _wrap_outer(cxt, CProd(Hole(), value.tail)), core
-    if isinstance(value, SStack):
-        cxt, core = decompose(value.head)
-        return _wrap_outer(cxt, CStack(Hole(), value.tail)), core
-    raise TypeError(value)
-
-
-def _wrap_outer(inner: AppCxt, outer: AppCxt) -> AppCxt:
-    """Plug `inner` into the hole of the single-layer context `outer`."""
-    if isinstance(outer, CProd):
-        return CProd(inner, outer.tail)
-    if isinstance(outer, CStack):
-        return CStack(inner, outer.tail)
-    raise TypeError(outer)
 
 
 # ---------------------------------------------------------------------------

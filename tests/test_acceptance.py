@@ -6,6 +6,7 @@ module and shared.
 """
 
 import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -230,3 +231,19 @@ def test_corpus_chart_json_is_unchanged(corpus_results):
         digest.update(to_json(semantics.chart_of(e)).encode())
         digest.update(to_json(semantics.labeled_onechart_of(e)).encode())
     assert digest.hexdigest() == CORPUS_JSON_SHA256
+
+
+# sha256 over to_json of the collapse of chart_of(e) and its sorted vertex
+# map, for every corpus expression in order, recorded before collapse's
+# breadth-first numbering moved onto charts.reach
+CORPUS_COLLAPSE_SHA256 = "af608ecdb5969c8f8074f0126194f97f126191c16e7c6f306be1481f25c84a6b"
+
+
+def test_corpus_collapse_is_unchanged(corpus_results):
+    """The numbering of collapsed vertices is part of the output contract."""
+    digest = hashlib.sha256()
+    for e in corpus_results.expressions:
+        quotient, qmap = bisim.collapse(semantics.chart_of(e))
+        digest.update(to_json(quotient).encode())
+        digest.update(json.dumps(sorted(qmap.items())).encode())
+    assert digest.hexdigest() == CORPUS_COLLAPSE_SHA256

@@ -7,7 +7,7 @@ from loopchart.bisim import (
     CapExceeded, bisimilar, check_functional_bisim, check_relation_bisim,
     collapse, naive_bisim_oracle,
 )
-from loopchart.charts import reachable, induced_of
+from loopchart.charts import Chart, induced_of, reachable
 from loopchart.syntax import Act, parse_star_expr
 
 
@@ -65,6 +65,19 @@ def test_collapse_of_e(chart_e):
     assert collapsed.terminating == frozenset({0})
     assert collapsed.transitions == frozenset({(0, "a", 0), (0, "b", 0)})
     assert check_functional_bisim(chart_e, collapsed, qmap).ok
+
+
+def test_collapse_numbers_blocks_in_breadth_first_order():
+    # from the start 3, breadth-first over sorted transitions meets 3, 4, 0,
+    # 1; 4 and 0 are bisimilar, and 2 is unreachable
+    c = Chart(frozenset("ab"), 3, frozenset(range(5)),
+              frozenset({(3, "a", 4), (3, "b", 0), (4, "a", 1), (0, "a", 1),
+                         (2, "a", 3)}), frozenset({1}))
+    collapsed, qmap = collapse(c)
+    assert qmap == {3: 0, 4: 1, 0: 1, 1: 2}
+    assert collapsed.start == 0
+    assert collapsed.transitions == frozenset({(0, "a", 1), (0, "b", 1), (1, "a", 2)})
+    assert collapsed.terminating == frozenset({2})
 
 
 def test_collapse_identity_on_minimal_charts(chart_g0, chart_f, ne1, ne2):

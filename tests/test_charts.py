@@ -5,13 +5,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import (
-    Chart, EntryBodyLabeling, SchemaError, UnknownVertex, from_json,
-    has_infinite_path, induced_of, reachable, rooted_subchart, to_dot, to_json,
+    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, find_cycle,
+    from_json, has_infinite_path, induced_of, reach, reachable,
+    rooted_subchart, to_dot, to_json,
 )
 from loopchart.syntax import Act, parse_star_expr
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def test_induced_of_e(e_expr):
@@ -117,17 +121,22 @@ def test_dot_output(e_expr):
 
 def test_chart_invariants_hold_under_optimize():
     # the invariants are checked by raising, so -O does not remove them
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     script = ("from loopchart.charts import Chart\n"
+              "from loopchart.lee import EliminationStep\n"
               "try:\n"
               "    Chart(frozenset({'a'}), 5, frozenset({0}), frozenset(), frozenset())\n"
               "except ValueError as err:\n"
+              "    print(err)\n"
+              "try:\n"
+              "    EliminationStep(0, frozenset({(1, 'a', 0)}))\n"
+              "except ValueError as err:\n"
               "    print(err)\n")
     done = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
+                          env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
-    assert done.stdout.strip() == "start 5 is not a vertex"
+    assert done.stdout.splitlines() == ["start 5 is not a vertex",
+                                        "an entry does not depart from vertex 0"]
 
 
 def test_chart_invariants_raise_value_error(chart_e):
@@ -136,3 +145,86 @@ def test_chart_invariants_raise_value_error(chart_e):
               frozenset())
     with pytest.raises(ValueError, match="marking"):
         EntryBodyLabeling(chart_e, {})
+
+
+# ---------------------------------------------------------------------------
+# the traversal helpers and the adjacency index
+
+def test_reach_discovery_order():
+    steps = {0: [(0, "a", 2), (0, "b", 1)], 1: [(1, "a", 3)], 2: [(2, "a", 0)]}
+    assert reach(steps.get, [0]) == [0, 2, 1, 3]
+    assert reach(steps.get, [3]) == [3]
+    # any callable works, and a step's last item is its target
+    assert reach(lambda v: [("x", v + 1)] if v < 3 else [], [0]) == [0, 1, 2, 3]
+
+
+def test_reach_stop_members_are_reached_not_expanded():
+    steps = {0: [(0, "a", 1)], 1: [(1, "a", 2)], 2: [(2, "a", 3)]}
+    assert reach(steps.get, [0], {1}) == [0, 1]
+    assert reach(steps.get, [1], {1}) == [1]
+    assert reach(steps.get, [0], {2}) == [0, 1, 2]
+
+
+def test_reach_duplicate_roots():
+    steps = {0: [(0, "a", 1)], 1: [(1, "a", 0)]}
+    assert reach(steps.get, [1, 0, 1, 0]) == [1, 0]
+    assert reach(steps.get, []) == []
+
+
+def test_find_cycle_follows_sorted_transitions():
+    c = Chart(frozenset("ab"), 0, frozenset({0, 1, 2}),
+              frozenset({(0, "a", 1), (0, "b", 2), (1, "a", 2), (2, "a", 1)}),
+              frozenset({0}))
+    assert find_cycle(c, c.vertices) == [1, 2]
+    assert find_cycle(c, frozenset({0, 1})) is None
+
+
+@st.composite
+def small_charts(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    transitions = draw(st.frozensets(
+        st.tuples(vertex, st.sampled_from(["a", "b", EMPTY]), vertex),
+        max_size=3 * n))
+    terminating = draw(st.frozensets(vertex))
+    return Chart(frozenset("ab"), draw(vertex), frozenset(range(n)),
+                 transitions, terminating)
+
+
+def naive_reachable_vertices(c):
+    seen = {c.start}
+    while True:
+        more = {w for v, _, w in c.transitions if v in seen} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def naive_has_cycle_within(c, allowed):
+    """Drop vertices without a successor left until none goes; a cycle
+    remains iff something is left."""
+    left = set(allowed)
+    while True:
+        sinks = {v for v in left
+                 if not any(x == v and w in left for x, _, w in c.transitions)}
+        if not sinks:
+            return bool(left)
+        left -= sinks
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts())
+def test_index_and_traversals_agree_with_naive_scans(c):
+    for v in c.vertices:
+        assert c.out(v) == sorted(t for t in c.transitions if t[0] == v)
+    seen = naive_reachable_vertices(c)
+    r = reachable(c)
+    assert r.vertices == seen
+    assert r.transitions == frozenset(t for t in c.transitions if t[0] in seen)
+    assert r.terminating == c.terminating & seen
+    assert has_infinite_path(c) == naive_has_cycle_within(c, seen)
+    cycle = find_cycle(c, c.vertices)
+    assert (cycle is not None) == naive_has_cycle_within(c, c.vertices)
+    if cycle is not None:
+        steps = {(v, w) for v, _, w in c.transitions}
+        assert all((v, w) in steps for v, w in zip(cycle, cycle[1:] + cycle[:1]))

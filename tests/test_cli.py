@@ -189,10 +189,26 @@ def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
 def test_cli_runs_as_module():
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-m", "loopchart.cli", "chart", "a*"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("chart: ")
+
+
+def test_cli_reported_cycle_does_not_depend_on_the_hash_seed():
+    # the body steps of the fixture have the cycle 1-2-1, and W1 reports it
+    argv = [sys.executable, "-m", "loopchart.cli", "--format", "json",
+            "llee-check", os.path.join(FIXTURES, "w1_cycle.json")]
+    outputs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 1
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["direct"][0]["cycle"] == [1, 2]

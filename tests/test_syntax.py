@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopchart.syntax import (
-    Act, CProd, CStack, Hole, One, ParseError, Plain, Prod, SProd, SStack,
-    Star, Sum, Zero, decompose, fill, parse_star_expr, project, render, sprod,
-    star_height,
+    Act, One, ParseError, Plain, Prod, SProd, SStack, Star, Sum, Zero,
+    parse_star_expr, project, render, sprod, star_height,
 )
 
 
@@ -96,30 +95,6 @@ def test_sprod_collapses_plain_heads():
     assert sprod(Plain(Act("a")), Act("b")) == Plain(Prod(Act("a"), Act("b")))
     stack = SStack(Plain(One()), Star(Act("a")))
     assert isinstance(sprod(stack, Zero()), SProd)
-
-
-def test_decompose_fill():
-    e = parse_star_expr("(a*.b*)*")
-    assert decompose(Plain(Act("a"))) == (Hole(), Act("a"))
-    stacked = SStack(Plain(Star(Act("b"))), e)
-    assert decompose(stacked) == (CStack(Hole(), e), Star(Act("b")))
-    sink = sprod(SStack(Plain(parse_star_expr("1.0")), parse_star_expr("b0*")),
-                 Zero())
-    cxt, core = decompose(sink)
-    assert cxt == CProd(CStack(Hole(), parse_star_expr("b0*")), Zero())
-    assert core == parse_star_expr("1.0")
-    # fill inverts decompose
-    assert fill(cxt, Plain(core)) == sink
-
-
-@given(exprs())
-def test_fill_decompose_identity_on_interpretation_states(e):
-    # quantify over states reachable in the stacked semantics of e
-    from loopchart.semantics import onechart_of_with_exprs
-    _, exprs_map = onechart_of_with_exprs(e, cap=2000)
-    for E in exprs_map.values():
-        cxt, core = decompose(E)
-        assert fill(cxt, Plain(core)) == E
 
 
 def test_nodes_are_interned():
