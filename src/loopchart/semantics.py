@@ -1,13 +1,20 @@
 """Operational semantics of star expressions.
 
-Three step systems, all executable:
+Two step systems, both executable:
 
-* plain steps/termination on StarExpr (the classical process semantics);
-* stacked steps/termination on StackedExpr, where leaving a star body back
-  to the iteration takes an empty step (label "1");
-* the marked variant that decorates each stacked step with a body/entry
-  marking (entry level = star height of the star being unfolded), guarded
-  by the normed+ side condition.
+* plain steps on StarExpr (the classical process semantics);
+* marked stacked steps on StackedExpr (``labeled_steps_stacked``): leaving
+  a star body back to the iteration takes an empty step (label "1"), and
+  unfolding a star whose body is normed+ is an entry of level the star's
+  height, every other step a body step.  ``steps_stacked`` is this one
+  walker without the markings, so it too can raise AmbiguousMarking.
+
+Termination, normed, normed+ and star height are measures stored on each
+interned node (see ``syntax._Node``).  ``normedness`` computes normed and
+normed+ as fixpoints instead: it is the oracle the tests check the stored
+measures against, and nothing in the package calls it.  The memo tables
+``_STEP_CACHE`` and ``_LSTEP_CACHE`` keep each node's plain and marked
+steps for the life of the process.
 
 Interpretation builders close an expression under the respective steps into
 a finite chart (breadth-first, dense vertex ids in discovery order).
@@ -15,12 +22,10 @@ a finite chart (breadth-first, dense vertex ids in discovery order).
 
 from __future__ import annotations
 
-from typing import Union
-
 from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
     Act, One, Plain, Prod, SProd, SStack, Star, StarExpr, StackedExpr, Sum,
-    Zero, actions_of, render, sprod, star_height,
+    actions_of, render, sprod,
 )
 
 BODY = 0
@@ -37,26 +42,7 @@ class StateExplosion(Exception):
 # ---------------------------------------------------------------------------
 # plain steps (on StarExpr)
 
-_TERM_CACHE: dict[StarExpr, bool] = {}
 _STEP_CACHE: dict[StarExpr, frozenset] = {}
-
-
-def terminates_star(e: StarExpr) -> bool:
-    cached = _TERM_CACHE.get(e)
-    if cached is not None:
-        return cached
-    if isinstance(e, (Zero, Act)):
-        result = False
-    elif isinstance(e, (One, Star)):
-        result = True
-    elif isinstance(e, Sum):
-        result = terminates_star(e.left) or terminates_star(e.right)
-    elif isinstance(e, Prod):
-        result = terminates_star(e.left) and terminates_star(e.right)
-    else:
-        raise TypeError(e)
-    _TERM_CACHE[e] = result
-    return result
 
 
 def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
@@ -72,7 +58,7 @@ def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
     elif isinstance(e, Prod):
         for a, e1 in steps_star(e.left):
             out.add((a, Prod(e1, e.right)))
-        if terminates_star(e.left):
+        if e.left.terminates:
             out |= steps_star(e.right)
     elif isinstance(e, Star):
         for a, e1 in steps_star(e.body):
@@ -83,125 +69,14 @@ def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
 
 
 # ---------------------------------------------------------------------------
-# stacked steps (on StackedExpr)
-
-_SSTEP_CACHE: dict[StackedExpr, frozenset] = {}
-
-
-def terminates_stacked(E: StackedExpr) -> bool:
-    # only plain expressions may terminate; E * e* never does
-    return isinstance(E, Plain) and terminates_star(E.expr)
-
-
-def steps_stacked(E: StackedExpr) -> frozenset[tuple[str, StackedExpr]]:
-    """All steps of E; label "1" is the empty step."""
-    cached = _SSTEP_CACHE.get(E)
-    if cached is not None:
-        return cached
-    out: set[tuple[str, StackedExpr]] = set()
-    if isinstance(E, Plain):
-        e = E.expr
-        if isinstance(e, Act):
-            out.add((e.name, Plain(One())))
-        elif isinstance(e, Sum):
-            out |= steps_stacked(Plain(e.left))
-            out |= steps_stacked(Plain(e.right))
-        elif isinstance(e, Prod):
-            for label, H in steps_stacked(Plain(e.left)):
-                out.add((label, sprod(H, e.right)))
-            if terminates_star(e.left):
-                out |= steps_stacked(Plain(e.right))
-        elif isinstance(e, Star):
-            for label, H in steps_stacked(Plain(e.body)):
-                out.add((label, SStack(H, e)))
-    elif isinstance(E, SProd):
-        for label, H in steps_stacked(E.head):
-            out.add((label, sprod(H, E.tail)))
-        # no second-argument steps: a non-plain head never terminates
-    elif isinstance(E, SStack):
-        for label, H in steps_stacked(E.head):
-            out.add((label, SStack(H, E.tail)))
-        if terminates_stacked(E.head):
-            out.add((EMPTY, Plain(E.tail)))
-    else:
-        raise TypeError(E)
-    result = frozenset(out)
-    _SSTEP_CACHE[E] = result
-    return result
-
-
-# ---------------------------------------------------------------------------
-# normedness
-
-_NORMED_CACHE: dict[StackedExpr, dict[str, bool]] = {}
-
-
-def normedness(E: StackedExpr) -> dict[str, bool]:
-    """normed: some step path reaches a terminating expression.
-
-    normed_plus: some induced-transition path of positive length reaches an
-    expression with induced termination (termination through empty steps).
-    Both are fixpoints over the finite sub-system generated by E.
-    """
-    cached = _NORMED_CACHE.get(E)
-    if cached is not None:
-        return cached
-
-    states = set(reach(steps_stacked, [E]))
-    term = {F for F in states if terminates_stacked(F)}
-
-    # termination / induced termination reachable through empty steps only
-    ind_term = set(term)
-    changed = True
-    while changed:
-        changed = False
-        for F in states:
-            if F not in ind_term and any(
-                    label == EMPTY and G in ind_term for label, G in steps_stacked(F)):
-                ind_term.add(F)
-                changed = True
-
-    # induced transitions: empty steps, then one proper step
-    empty_steps = {F: [s for s in steps_stacked(F) if s[0] == EMPTY] for F in states}
-    induced_succ: dict[StackedExpr, set[StackedExpr]] = {}
-    for F in states:
-        closure = reach(empty_steps.get, [F])
-        induced_succ[F] = {
-            G for F1 in closure for label, G in steps_stacked(F1) if label != EMPTY
-        }
-
-    normed = set(term)
-    changed = True
-    while changed:
-        changed = False
-        for F in states:
-            if F not in normed and any(G in normed for _, G in steps_stacked(F)):
-                normed.add(F)
-                changed = True
-
-    normed_plus: set[StackedExpr] = set()
-    changed = True
-    while changed:
-        changed = False
-        for F in states:
-            if F not in normed_plus and any(
-                    G in ind_term or G in normed_plus for G in induced_succ[F]):
-                normed_plus.add(F)
-                changed = True
-
-    for F in states:
-        _NORMED_CACHE[F] = {"normed": F in normed, "normed_plus": F in normed_plus}
-    return _NORMED_CACHE[E]
-
-
-# ---------------------------------------------------------------------------
-# marked stacked steps
+# marked stacked steps (on StackedExpr)
 
 _LSTEP_CACHE: dict[StackedExpr, frozenset] = {}
 
 
 def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
-    """Stacked steps with their body/entry markings.
+    """Stacked steps with their body/entry markings; label "1" is the empty
+    step.
 
     Raises AmbiguousMarking if one (label, target) pair would carry two
     distinct markings.
@@ -232,32 +107,82 @@ def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedEx
         elif isinstance(e, Prod):
             for label, m, H in labeled_steps_stacked(Plain(e.left)):
                 record(label, m, sprod(H, e.right))
-            if terminates_star(e.left):
+            if e.left.terminates:
                 for label, _, G in labeled_steps_stacked(Plain(e.right)):
                     record(label, BODY, G)
         elif isinstance(e, Star):
-            if normedness(Plain(e.body))["normed_plus"]:
-                level = star_height(e)
-            else:
-                level = BODY
+            level = e.star_height if e.body.normed_plus else BODY
             for label, _, H in labeled_steps_stacked(Plain(e.body)):
                 record(label, level, SStack(H, e))
     elif isinstance(E, SProd):
+        # no second-argument steps: a non-plain head never terminates
         for label, m, H in labeled_steps_stacked(E.head):
             record(label, m, sprod(H, E.tail))
     elif isinstance(E, SStack):
         for label, m, H in labeled_steps_stacked(E.head):
             record(label, m, SStack(H, E.tail))
-        if terminates_stacked(E.head):
+        if E.head.terminates:
             record(EMPTY, BODY, Plain(E.tail))
     else:
         raise TypeError(E)
 
     result = frozenset((label, m, G) for (label, G), m in markings.items())
-    unmarked = frozenset((label, G) for label, _, G in result)
-    assert unmarked == steps_stacked(E), "marked steps diverge from unmarked steps"
     _LSTEP_CACHE[E] = result
     return result
+
+
+def steps_stacked(E: StackedExpr) -> frozenset[tuple[str, StackedExpr]]:
+    """All steps of E, the marked steps without their markings; label "1" is
+    the empty step."""
+    return frozenset((label, G) for label, _, G in labeled_steps_stacked(E))
+
+
+# ---------------------------------------------------------------------------
+# normedness oracle
+
+def normedness(E: StackedExpr) -> dict[StackedExpr, tuple[bool, bool]]:
+    """(normed, normed_plus) of every expression in the sub-system that E
+    generates, as fixpoints over its steps: the oracle for the ``normed``
+    and ``normed_plus`` measures stored on the nodes, which agree with it on
+    every state reachable from a plain expression.
+
+    normed: some step path reaches a terminating expression.
+
+    normed_plus: some induced-transition path of positive length reaches an
+    expression with induced termination (termination through empty steps).
+    """
+    states = set(reach(steps_stacked, [E]))
+    term = {F for F in states if F.terminates}
+
+    def least(seed, holds) -> set[StackedExpr]:
+        """The least superset of seed that holds(F, set) adds no state to."""
+        found = set(seed)
+        changed = True
+        while changed:
+            changed = False
+            for F in states:
+                if F not in found and holds(F, found):
+                    found.add(F)
+                    changed = True
+        return found
+
+    # termination / induced termination reachable through empty steps only
+    ind_term = least(term, lambda F, found: any(
+        label == EMPTY and G in found for label, G in steps_stacked(F)))
+
+    # induced transitions: empty steps, then one proper step
+    empty_steps = {F: [s for s in steps_stacked(F) if s[0] == EMPTY] for F in states}
+    induced_succ: dict[StackedExpr, set[StackedExpr]] = {}
+    for F in states:
+        closure = reach(empty_steps.get, [F])
+        induced_succ[F] = {
+            G for F1 in closure for label, G in steps_stacked(F1) if label != EMPTY
+        }
+
+    normed = least(term, lambda F, found: any(G in found for _, G in steps_stacked(F)))
+    normed_plus = least((), lambda F, found: any(
+        G in ind_term or G in found for G in induced_succ[F]))
+    return {F: (F in normed, F in normed_plus) for F in states}
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +220,7 @@ def entry_shape_ok(E: StackedExpr, label: str, level: int,
     n = |g| + 1, the body g normed+, and the target the same position
     descended into the star body."""
     for layers, star in star_decompositions(E):
-        if star_height(star) != level:
-            continue
-        if not normedness(Plain(star.body))["normed_plus"]:
+        if star.star_height != level or not star.body.normed_plus:
             continue
         for l2, H in steps_stacked(Plain(star.body)):
             if l2 == label and _refill(layers, SStack(H, star)) == target:
@@ -311,7 +234,7 @@ def entry_shape_ok(E: StackedExpr, label: str, level: int,
 VERTEX_CAP = 100_000
 
 
-def _close(start, step_fn, term_fn, alphabet, cap: int):
+def _close(start, step_fn, alphabet, cap: int):
     """Breadth-first closure; returns (Chart, id -> expression)."""
     ids = {start: 0}
     order = [start]
@@ -332,7 +255,7 @@ def _close(start, step_fn, term_fn, alphabet, cap: int):
         start=0,
         vertices=frozenset(range(len(order))),
         transitions=frozenset(transitions),
-        terminating=frozenset(ids[x] for x in order if term_fn(x)),
+        terminating=frozenset(ids[x] for x in order if x.terminates),
         annotations={ids[x]: render(x) for x in order},
     )
     return chart, dict(enumerate(order))
@@ -343,7 +266,7 @@ def chart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
 
 
 def chart_of_with_exprs(e: StarExpr, cap: int = VERTEX_CAP) -> tuple[Chart, dict[int, StarExpr]]:
-    return _close(e, steps_star, terminates_star, actions_of(e), cap)
+    return _close(e, steps_star, actions_of(e), cap)
 
 
 def onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
@@ -351,7 +274,7 @@ def onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
 
 
 def onechart_of_with_exprs(e: StarExpr, cap: int = VERTEX_CAP) -> tuple[Chart, dict[int, StackedExpr]]:
-    return _close(Plain(e), steps_stacked, terminates_stacked, actions_of(e), cap)
+    return _close(Plain(e), steps_stacked, actions_of(e), cap)
 
 
 def labeled_onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> EntryBodyLabeling:

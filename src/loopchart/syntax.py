@@ -32,6 +32,9 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # interned nodes
 
+_MEASURES = ("terminates", "normed", "normed_plus", "star_height")
+
+
 class _Node:
     """An immutable, hash-consed syntax node.
 
@@ -43,19 +46,22 @@ class _Node:
     order of sets and dicts of nodes does not depend on how nodes are built.
     Tables are never cleared: every node ever built lives for the whole
     process, like the step-rule memo tables of ``semantics``.
+
+    Each node also stores four measures, which its class's ``_derive``
+    computes from the fields' stored measures (after rejecting invalid
+    fields) when the node is first built: ``terminates`` (stacked layers
+    never do), ``normed`` (some path of steps reaches termination),
+    ``normed_plus`` (some step, empty or not, leads to a normed expression)
+    and ``star_height``.
     """
 
-    __slots__ = ("_hash", "_text")
+    __slots__ = ("_hash", "_text") + _MEASURES
     _fields: tuple[str, ...] = ()
     _table: dict
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("__slots__", ())
         cls._table = {}
-
-    @staticmethod
-    def _check(*fields) -> None:
-        """Reject invalid fields; runs once per distinct node."""
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,9 +83,9 @@ class _Node:
 def _intern(cls, fields: tuple):
     node = cls._table.get(fields)
     if node is None:
-        cls._check(*fields)
+        measures = cls._derive(*fields)
         node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
+        for name, value in zip(cls._fields + _MEASURES, fields + measures):
             object.__setattr__(node, name, value)
         object.__setattr__(node, "_hash", hash(fields))
         object.__setattr__(node, "_text", None)
@@ -104,6 +110,7 @@ class StarExpr(_Node):
 
 class Zero(StarExpr):
     __slots__ = ()
+    _derive = staticmethod(lambda: (False, False, False, 0))
 
     def __new__(cls):
         return _intern(cls, ())
@@ -111,6 +118,7 @@ class Zero(StarExpr):
 
 class One(StarExpr):
     __slots__ = ()
+    _derive = staticmethod(lambda: (True, True, False, 0))
 
     def __new__(cls):
         return _intern(cls, ())
@@ -123,9 +131,10 @@ class Act(StarExpr):
         return _intern(cls, (name,))
 
     @staticmethod
-    def _check(name) -> None:
+    def _derive(name):
         if not IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid action name {name!r}")
+        return False, True, True, 0
 
 
 class Sum(StarExpr):
@@ -135,6 +144,12 @@ class Sum(StarExpr):
     def __new__(cls, left: StarExpr, right: StarExpr):
         return _intern(cls, (left, right))
 
+    @staticmethod
+    def _derive(left, right):
+        return (left.terminates or right.terminates, left.normed or right.normed,
+                left.normed_plus or right.normed_plus,
+                max(left.star_height, right.star_height))
+
 
 class Prod(StarExpr):
     __slots__ = ("left", "right")
@@ -143,6 +158,13 @@ class Prod(StarExpr):
     def __new__(cls, left: StarExpr, right: StarExpr):
         return _intern(cls, (left, right))
 
+    @staticmethod
+    def _derive(left, right):
+        return (left.terminates and right.terminates, left.normed and right.normed,
+                (left.normed_plus and right.normed)
+                or (left.terminates and right.normed_plus),
+                max(left.star_height, right.star_height))
+
 
 class Star(StarExpr):
     __slots__ = ("body",)
@@ -150,6 +172,10 @@ class Star(StarExpr):
 
     def __new__(cls, body: StarExpr):
         return _intern(cls, (body,))
+
+    @staticmethod
+    def _derive(body):
+        return True, True, body.normed_plus, body.star_height + 1
 
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z]*[0-9]*")
@@ -169,6 +195,10 @@ class Plain(StackedExpr):
     def __new__(cls, expr: StarExpr):
         return _intern(cls, (expr,))
 
+    @staticmethod
+    def _derive(expr):
+        return expr.terminates, expr.normed, expr.normed_plus, expr.star_height
+
 
 class SProd(StackedExpr):
     __slots__ = ("head", "tail")
@@ -177,10 +207,12 @@ class SProd(StackedExpr):
         return _intern(cls, (head, tail))
 
     @staticmethod
-    def _check(head, tail) -> None:
+    def _derive(head, tail):
         # canonical form: a plain head belongs in a plain product (use sprod)
         if isinstance(head, Plain):
             raise ValueError("SProd over a Plain head; use sprod() to build products")
+        return (False, head.normed and tail.normed, head.normed_plus and tail.normed,
+                max(head.star_height, tail.star_height))
 
 
 class SStack(StackedExpr):
@@ -190,9 +222,14 @@ class SStack(StackedExpr):
         return _intern(cls, (head, tail))
 
     @staticmethod
-    def _check(head, tail) -> None:
+    def _derive(head, tail):
         if not isinstance(tail, Star):
             raise ValueError("SStack tail must be a Star")
+        # E @ g* steps to a normed expression iff E does or E terminates (the
+        # empty step to g*); on the states reachable from a plain expression,
+        # where g* was entered by a step of g, that is the fixpoint normed+
+        return (False, head.normed, head.normed_plus or head.terminates,
+                max(head.star_height, tail.star_height))
 
 
 def sprod(head: StackedExpr, tail: StarExpr) -> StackedExpr:
@@ -203,21 +240,7 @@ def sprod(head: StackedExpr, tail: StarExpr) -> StackedExpr:
 
 
 # ---------------------------------------------------------------------------
-# measures and projection
-
-def star_height(value: Union[StarExpr, StackedExpr]) -> int:
-    if isinstance(value, (Zero, One, Act)):
-        return 0
-    if isinstance(value, (Sum, Prod)):
-        return max(star_height(value.left), star_height(value.right))
-    if isinstance(value, Star):
-        return 1 + star_height(value.body)
-    if isinstance(value, Plain):
-        return star_height(value.expr)
-    if isinstance(value, (SProd, SStack)):
-        return max(star_height(value.head), star_height(value.tail))
-    raise TypeError(value)
-
+# projection and actions
 
 def project(value: StackedExpr) -> StarExpr:
     """Read every stacked layer as an ordinary product."""
@@ -229,14 +252,9 @@ def project(value: StackedExpr) -> StarExpr:
 
 
 def actions_of(e: StarExpr) -> frozenset[str]:
-    """All action names occurring in e."""
-    if isinstance(e, Act):
-        return frozenset({e.name})
-    if isinstance(e, (Sum, Prod)):
-        return actions_of(e.left) | actions_of(e.right)
-    if isinstance(e, Star):
-        return actions_of(e.body)
-    return frozenset()
+    """All action names occurring in e: the identifiers of its cached text,
+    which `render` builds without recursion."""
+    return frozenset(IDENT_RE.findall(render(e)))
 
 
 # ---------------------------------------------------------------------------

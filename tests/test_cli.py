@@ -1,5 +1,8 @@
-"""Command-line behavior, exit codes, and corpus enumeration."""
+"""Command-line behavior, exit codes, corpus enumeration, and the names the
+benchmark traces."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -189,7 +192,31 @@ def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_cli_p1_exits_2_on_ambiguous_marking(monkeypatch, capsys):
+    # P1's 1-chart takes its steps from the marked walker too
+    def fail(E):
+        raise semantics.AmbiguousMarking("marked both 0 and 1")
+    monkeypatch.setattr(semantics, "labeled_steps_stacked", fail)
+    assert run_cli(["verify", "a", "--property", "p1"]) == 2
+    assert capsys.readouterr().err == "ambiguous marking: marked both 0 and 1\n"
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def test_traced_benchmark_names_resolve():
+    """Every function perfbench/layers.py wraps exists under its name."""
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for targets in layers.LAYERS.values():
+        for module_name, attr in targets:
+            owner = importlib.import_module(f"loopchart.{module_name}")
+            for name in attr.split("."):
+                assert hasattr(owner, name), f"loopchart.{module_name}.{attr}"
+                owner = getattr(owner, name)
+            assert callable(owner)
 
 
 def test_cli_runs_as_module():

@@ -1,13 +1,13 @@
 """The step systems, normedness, markings, and the interpretation builders."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import EMPTY
 from loopchart.semantics import (
     chart_of, labeled_onechart_of, labeled_steps_stacked, normedness,
-    onechart_of, steps_stacked, steps_star, terminates_stacked,
-    terminates_star,
+    onechart_of, steps_stacked, steps_star,
 )
 from loopchart.syntax import (
     Act, One, Plain, Prod, SStack, Star, Sum, Zero, parse_star_expr, render,
@@ -15,12 +15,12 @@ from loopchart.syntax import (
 
 
 def test_terminates_star():
-    assert terminates_star(One())
-    assert not terminates_star(Zero())
-    assert not terminates_star(Act("a"))
-    assert terminates_star(parse_star_expr("(a.b)*"))
-    assert terminates_star(parse_star_expr("0 + 1"))
-    assert not terminates_star(parse_star_expr("1.0"))
+    assert One().terminates
+    assert not Zero().terminates
+    assert not Act("a").terminates
+    assert parse_star_expr("(a.b)*").terminates
+    assert parse_star_expr("0 + 1").terminates
+    assert not parse_star_expr("1.0").terminates
 
 
 def test_steps_star():
@@ -54,9 +54,9 @@ def test_chart_of_f(chart_f):
 
 
 def test_terminates_stacked():
-    assert terminates_stacked(Plain(parse_star_expr("(a*.b*)*")))
-    assert not terminates_stacked(SStack(Plain(One()), Star(Act("a"))))
-    assert not terminates_stacked(Plain(parse_star_expr("1.0")))
+    assert Plain(parse_star_expr("(a*.b*)*")).terminates
+    assert not SStack(Plain(One()), Star(Act("a"))).terminates
+    assert not Plain(parse_star_expr("1.0")).terminates
 
 
 def test_steps_stacked_sstack_one_rule():
@@ -88,14 +88,13 @@ def test_onechart_of_atom():
 
 
 def test_normedness():
-    assert normedness(Plain(Act("a"))) == {"normed": True, "normed_plus": True}
-    assert normedness(Plain(One())) == {"normed": True, "normed_plus": False}
-    assert normedness(Plain(parse_star_expr("a*.b*"))) == {
-        "normed": True, "normed_plus": True}
-    assert normedness(Plain(Zero())) == {"normed": False, "normed_plus": False}
-    # 0* terminates but has no transitions at all
-    assert normedness(Plain(parse_star_expr("0*"))) == {
-        "normed": True, "normed_plus": False}
+    for text, expected in [("a", (True, True)), ("1", (True, False)),
+                           ("a*.b*", (True, True)), ("0", (False, False)),
+                           # 0* terminates but has no transitions at all
+                           ("0*", (True, False))]:
+        E = Plain(parse_star_expr(text))
+        assert normedness(E)[E] == expected
+        assert (E.normed, E.normed_plus) == expected
 
 
 def test_labeled_steps_star_entry(e_expr):
@@ -146,9 +145,41 @@ def test_state_explosion_cap():
 
 
 def test_normed_plus_iff_step_to_normed(e_expr, f_expr):
-    """normed+ holds exactly when some step reaches a normed expression."""
+    """normed+ holds exactly when some step reaches a normed expression, and
+    the stored measures agree with the fixpoints."""
     for root in (Plain(e_expr), Plain(f_expr)):
+        oracle = normedness(root)
         _, exprs = semantics.onechart_of_with_exprs(root.expr)
+        assert set(exprs.values()) == set(oracle)
         for E in exprs.values():
-            viastep = any(normedness(G)["normed"] for _, G in steps_stacked(E))
-            assert normedness(E)["normed_plus"] == viastep
+            viastep = any(oracle[G][0] for _, G in steps_stacked(E))
+            assert oracle[E] == (E.normed, viastep)
+            assert oracle[E] == (E.normed, E.normed_plus)
+
+
+def expr_of(codes):
+    """The star expression with one node per code, built in prefix order."""
+    stream = iter(codes)
+
+    def build(size):
+        code = next(stream)
+        if size == 1:
+            return [Zero(), One(), Act("a"), Act("b")][code % 4]
+        # 0: a star; -k / +k: a sum / product with k nodes on the left
+        split = code % (2 * size - 3) - (size - 2)
+        if split == 0:
+            return Star(build(size - 1))
+        left = build(abs(split))
+        right = build(size - 1 - abs(split))
+        return Sum(left, right) if split < 0 else Prod(left, right)
+    return build(len(codes))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda size: st.lists(st.integers(0, 80), min_size=size, max_size=size)))
+def test_stored_normedness_matches_fixpoint(codes):
+    """Every state of a random expression's 1-chart carries the normed and
+    normed+ measures that the fixpoint oracle computes."""
+    for E, expected in normedness(Plain(expr_of(codes))).items():
+        assert (E.normed, E.normed_plus) == expected

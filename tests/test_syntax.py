@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from loopchart.syntax import (
     Act, One, ParseError, Plain, Prod, SProd, SStack, Star, Sum, Zero,
-    parse_star_expr, project, render, sprod, star_height,
+    actions_of, parse_star_expr, project, render, sprod,
 )
 
 
@@ -74,12 +74,12 @@ def test_parse_render_round_trip(e):
 
 
 def test_star_height():
-    assert star_height(Zero()) == 0
-    assert star_height(parse_star_expr("(a*.b*)*")) == 2
-    assert star_height(parse_star_expr("a.b + c")) == 0
+    assert Zero().star_height == 0
+    assert parse_star_expr("(a*.b*)*").star_height == 2
+    assert parse_star_expr("a.b + c").star_height == 0
     # stacked clauses take the max of the components
     stacked = SStack(Plain(parse_star_expr("1.a*")), Star(Act("a")))
-    assert star_height(stacked) == 1
+    assert stacked.star_height == 1
 
 
 def test_project():
@@ -148,6 +148,12 @@ def test_parse_and_render_deep_terms_without_recursion():
     text = ".".join(["a"] * 5000)
     assert render(chain) == text
     assert parse_star_expr(text) is chain
+    assert (chain.terminates, chain.normed_plus, chain.star_height) == (False, True, 0)
+    deep = Act("a")
+    for _ in range(5000):
+        deep = Sum(deep, Star(Act("b")))
+    assert (deep.terminates, deep.normed_plus, deep.star_height) == (True, True, 1)
+    assert actions_of(deep) == {"a", "b"} and actions_of(chain) == {"a"}
     unclosed = "(" * 3000 + "a" + ")" * 2999
     with pytest.raises(ParseError) as info:
         parse_star_expr(unclosed)
