@@ -8,12 +8,14 @@ same data type serves both kinds; operations state which they expect.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .syntax import IDENT_RE
 
 EMPTY = "1"  # the reserved empty-step label
+_CLOSED = sys.maxsize  # above every discovery number of `cyclic`
 
 
 class SchemaError(Exception):
@@ -121,6 +123,54 @@ def reach(steps, roots, stop=frozenset()) -> list:
                 seen.add(w)
                 order.append(w)
     return order
+
+
+def cyclic(steps, roots, stop=frozenset()) -> set:
+    """The vertices `reach(steps, roots, stop)` visits that lie on a cycle
+    of the steps it follows, so on no cycle through a member of `stop`.
+    Tarjan's strongly connected components algorithm (R. Tarjan, "Depth-
+    first search and linear graph algorithms", SIAM J. Comput. 1972),
+    without recursion."""
+    index: dict = {}  # vertex -> discovery number, _CLOSED once its component is
+    component: list = []  # visited vertices whose component is still open
+    found = set()
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = len(index)
+        component.append(root)
+        # frames are [vertex, its remaining steps, lowest number it reaches]
+        stack = [[root, iter(() if root in stop else steps(root) or ()), index[root]]]
+        while stack:
+            frame = stack[-1]
+            v, it, _ = frame
+            for step in it:
+                w = step[-1]
+                i = index.get(w)
+                if i is None:
+                    i = index[w] = len(index)
+                    component.append(w)
+                    stack.append([w, iter(() if w in stop else steps(w) or ()), i])
+                    break
+                if i < frame[2]:
+                    frame[2] = i
+                elif w == v:
+                    found.add(v)
+            else:
+                stack.pop()
+                low = frame[2]
+                if stack and low < stack[-1][2]:
+                    stack[-1][2] = low
+                if low == index[v]:
+                    w = component.pop()
+                    index[w] = _CLOSED
+                    if w != v:
+                        found.add(w)
+                        while w != v:
+                            w = component.pop()
+                            index[w] = _CLOSED
+                            found.add(w)
+    return found
 
 
 def reachable(c: Chart) -> Chart:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .charts import (
     Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
-    find_cycle, has_infinite_path, reach, reachable,
+    cyclic, find_cycle, has_infinite_path, reach, reachable,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -76,6 +76,12 @@ class EliminationTrace:
 class LeeResult:
     holds: bool
     trace: Optional[EliminationTrace] = None
+    # search counters of decide_lee
+    rounds: int = 0
+    vertex_passes: int = 0
+    eliminations: int = 0
+    fallbacks: int = 0
+    checks: int = 0
 
 
 @dataclass
@@ -184,8 +190,8 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     meets L2 and L3 iff all its transitions are admissible, and the set of
     all admissible transitions at v, the *maximal entry set*, is a loop
     entry iff its subchart also meets L1, that is, iff some admissible
-    transition leads back to v.  Finding it takes one loop-subchart check
-    per transition instead of one per subset.
+    transition leads back to v.  `_maximal_loop` finds it for all of v's
+    transitions in one linear pass.
 
     Greedy elimination is sound because the order of loop eliminations
     does not affect whether LEE holds (C. Grabmayer and W. Fokkink, "A
@@ -202,58 +208,100 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     the recording of the trace stays layered.  Without one the round takes
     the first loop found.
 
-    The budget bounds the loop-subchart checks made, counting the one of
-    each elimination; exceeding it raises SearchBudgetExceeded."""
+    The budget bounds the search: each vertex pass costs one unit, and so
+    does each loop elimination, with its loop-subchart check.  Exceeding it
+    raises SearchBudgetExceeded.  The result counts the rounds, vertex
+    passes, eliminations (those of loops not chosen included), the rounds
+    that fell back to a loop that is not innermost, and the budget used."""
     if budget is None:
         budget = _budget_default()
-    checks = 0
+    result = LeeResult(False)
 
     def spend() -> None:
-        nonlocal checks
-        checks += 1
-        if checks > budget:
-            raise SearchBudgetExceeded(f"more than {budget} loop-subchart checks")
+        result.checks += 1
+        if result.checks > budget:
+            raise SearchBudgetExceeded(
+                f"more than {budget} vertex passes and loop eliminations")
 
     current = reachable(c)
     steps: list[EliminationStep] = []
     while has_infinite_path(current):
+        result.rounds += 1
+        into = _reverse_index(current)
         chosen: Optional[tuple[EliminationStep, Chart]] = None
         for v in sorted(current.vertices):
-            entries: set[Transition] = set()
-            body: set[int] = set()
-            loops = False
-            for t in current.out(v):
-                spend()
-                sub = loop_subchart_generated(current, v, frozenset({t}))
-                failing = {x["condition"] for x in check_loop_chart(sub).violations}
-                if failing <= {"L1"}:
-                    entries.add(t)
-                    body |= sub.vertices
-                    loops = loops or not failing
-            if not loops:
-                continue
-            step = EliminationStep(v, frozenset(entries))
             spend()
-            after = eliminate_loop(current, v, step.entry_set)
+            result.vertex_passes += 1
+            loop = _maximal_loop(current, v, into)
+            if loop is None:
+                continue
+            entry_set, body = loop
+            step = EliminationStep(v, entry_set)
+            spend()
+            result.eliminations += 1
+            after = eliminate_loop(current, v, entry_set)
             if chosen is None:
                 chosen = (step, after)
-            if not body & _on_cycle_through(after, v) - {v}:
+            if body.isdisjoint(_on_cycle_through(after, v, into) - {v}):
                 chosen = (step, after)
                 break
-        if chosen is None:
-            return LeeResult(False)
+        else:
+            if chosen is None:
+                return result
+            result.fallbacks += 1
         steps.append(chosen[0])
         current = chosen[1]
-    return LeeResult(True, EliminationTrace(steps))
+    result.holds = True
+    result.trace = EliminationTrace(steps)
+    return result
 
 
-def _on_cycle_through(c: Chart, v: int) -> frozenset[int]:
-    """The vertices reachable from v that reach v back.  After a loop at v
-    is eliminated, a vertex of its body lies on a cycle only through v: a
-    cycle avoiding v would have lain in the loop subchart (L2)."""
+def _reverse_index(c: Chart) -> dict[int, list[Transition]]:
+    """Each vertex's incoming transitions, reversed, so that a step's last
+    item is its source and `reach` walks backwards."""
     into: dict[int, list[Transition]] = {}
     for t in c.transitions:
         into.setdefault(t[2], []).append(t[::-1])
+    return into
+
+
+def _maximal_loop(c: Chart, v: int, into: dict[int, list[Transition]]
+                  ) -> Optional[tuple[frozenset[Transition], frozenset[int]]]:
+    """The maximal entry set at v and its body, the vertex set of the
+    subchart it generates, or None when that set is no loop entry.
+    `into` is c's reverse index.
+
+    Only the region that v's transitions reach without passing v matters.
+    A transition (v, a, w) with w != v is admissible iff w reaches, within
+    that region minus v, no cycle and no terminating vertex: one pass of
+    Tarjan's algorithm finds the cycles, one backward walk the vertices
+    that reach them or termination.  Linear in the size of the region."""
+    out = c.out_index().get
+    targets = [w for _, _, w in out(v) or ()]
+    region = reach(out, targets, {v})
+    if v not in region:
+        return None  # v lies on no cycle
+    inner = set(region) - {v}
+    doomed = cyclic(out, targets, {v})
+    doomed.update(inner & c.terminating)
+    blocked = set(reach(lambda x: into.get(x) if x in inner else None, doomed))
+    entries = frozenset(t for t in out(v) if t[2] == v or t[2] not in blocked)
+    body = frozenset(reach(out, [w for _, _, w in entries], {v}))
+    if v not in body:
+        return None
+    return entries, body
+
+
+def _on_cycle_through(c: Chart, v: int, into: dict[int, list[Transition]]
+                      ) -> frozenset[int]:
+    """The vertices reachable from v in c that reach v back.  After a loop
+    at v is eliminated, a vertex of its body lies on a cycle only through
+    v: a cycle avoiding v would have lain in the loop subchart (L2).
+
+    `into` may be the reverse index of the chart that c came from by
+    eliminating a loop at v: a path into v that ends at its first visit to
+    v takes no transition out of v, so a vertex of c that reaches v there
+    reaches it in c along the same path."""
     return frozenset(reach(into.get, [v])).intersection(reach(c.out_index().get, [v]))
 
 

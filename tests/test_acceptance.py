@@ -246,3 +246,21 @@ def test_corpus_collapse_is_unchanged(corpus_results):
         digest.update(to_json(quotient).encode())
         digest.update(json.dumps(sorted(qmap.items())).encode())
     assert digest.hexdigest() == CORPUS_COLLAPSE_SHA256
+
+
+# sha256 over the verdict and trace JSON of decide_lee on chart_of(e) and on
+# onechart_of(e), for every corpus expression in order, recorded while each
+# round still checked one loop subchart per transition
+CORPUS_LEE_SHA256 = "2bd3e9c28834a4a2eef51497288ec1be07a36187fe53931d703c0f72b817cc5d"
+
+
+def test_corpus_lee_traces_are_unchanged(corpus_results):
+    """The elimination trace `loopchart lee` prints is part of the output
+    contract."""
+    digest = hashlib.sha256()
+    for e in corpus_results.expressions:
+        for c in (semantics.chart_of(e), semantics.onechart_of(e)):
+            result = lee.decide_lee(c)
+            digest.update(json.dumps(result.holds).encode())
+            digest.update((result.trace.to_json() if result.trace else "null").encode())
+    assert digest.hexdigest() == CORPUS_LEE_SHA256

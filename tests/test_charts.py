@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import (
-    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, find_cycle,
-    from_json, has_infinite_path, induced_of, reach, reachable,
+    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, cyclic,
+    find_cycle, from_json, has_infinite_path, induced_of, reach, reachable,
     rooted_subchart, to_dot, to_json,
 )
 from loopchart.syntax import Act, parse_star_expr
@@ -228,3 +228,11 @@ def test_index_and_traversals_agree_with_naive_scans(c):
     if cycle is not None:
         steps = {(v, w) for v, _, w in c.transitions}
         assert all((v, w) in steps for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+    # on a cycle: reached again from its own successors; with the start as
+    # a stop, as decide_lee calls it, on a cycle avoiding the start
+    out = c.out_index().get
+    for roots, stop in (([c.start], frozenset()),
+                        ([w for _, _, w in c.out(c.start)], frozenset({c.start}))):
+        assert cyclic(out, roots, stop) == {
+            x for x in reach(out, roots, stop) if x not in stop
+            and x in reach(out, [w for _, _, w in c.out(x)], stop)}

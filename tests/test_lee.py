@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import Chart, has_infinite_path
-from loopchart.cli import enumerate_exprs
+from loopchart.cli import enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, NotALoopSubchart,
-    SearchBudgetExceeded, TraceReplayError, check_loop_chart, decide_lee,
-    eliminate_loop, entries_of, exhaustive_lee, loop_subchart_generated,
-    recording_labeling, validate_llee, validate_llee_alt,
+    SearchBudgetExceeded, TraceReplayError, _maximal_loop, _reverse_index,
+    check_loop_chart, decide_lee, eliminate_loop, entries_of, exhaustive_lee,
+    loop_subchart_generated, recording_labeling, validate_llee,
+    validate_llee_alt,
 )
 from loopchart.syntax import Act, parse_star_expr
 
@@ -98,6 +99,20 @@ def test_decide_lee_trace_replays(chart_g0):
 def test_decide_lee_budget(chart_f):
     with pytest.raises(SearchBudgetExceeded):
         decide_lee(chart_f, budget=1)
+
+
+def test_decide_lee_counts_its_search(chart_g0):
+    result = decide_lee(chart_g0)
+    assert result.rounds == len(result.trace.steps)
+    assert result.checks == result.vertex_passes + result.eliminations
+    # a size-100 sample: a 12-vertex, 122-transition chart without LEE
+    c = semantics.chart_of(sample_exprs(["a", "b"], 1, 100, 10)[0])
+    result = decide_lee(c)
+    assert not result.holds and result.rounds >= 5
+    # one pass per vertex and round, however many transitions it has
+    assert result.vertex_passes <= (result.rounds + 1) * len(c.vertices)
+    assert result.checks == result.vertex_passes + result.eliminations
+    assert result.fallbacks <= result.rounds
 
 
 def test_recording_labelings_of_g0(chart_g0):
@@ -196,8 +211,8 @@ def test_decide_lee_agrees_with_exhaustive_on_small_expressions():
 
 
 @st.composite
-def small_charts(draw):
-    n = draw(st.integers(2, 6))
+def small_charts(draw, min_vertices=2, max_vertices=6):
+    n = draw(st.integers(min_vertices, max_vertices))
     vertex = st.integers(0, n - 1)
     transitions = draw(st.frozensets(
         st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=3 * n))
@@ -221,3 +236,26 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
         (2, "b", 3), (3, "a", 3), (3, "b", 0), (4, "a", 0), (4, "a", 2),
         (4, "b", 0)}), frozenset())
     assert_agrees_with_oracle(c)
+
+
+def maximal_loop_by_definition(c, v):
+    """The admissible transitions at v and the union of the subcharts they
+    generate, or None when none of those meets L1: one loop-subchart check
+    per transition."""
+    entries, body, loops = set(), set(), False
+    for t in c.out(v):
+        sub = loop_subchart_generated(c, v, frozenset({t}))
+        failing = {x["condition"] for x in check_loop_chart(sub).violations}
+        if failing <= {"L1"}:
+            entries.add(t)
+            body |= sub.vertices
+            loops = loops or not failing
+    return (frozenset(entries), frozenset(body)) if loops else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts(1, 8))
+def test_maximal_loop_matches_the_definition(c):
+    into = _reverse_index(c)
+    for v in sorted(c.vertices):
+        assert _maximal_loop(c, v, into) == maximal_loop_by_definition(c, v)
