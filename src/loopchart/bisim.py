@@ -23,13 +23,6 @@ class BisimReport:
     detail: str = ""
 
 
-def _out_map(c: Chart) -> dict[int, list[tuple[str, int]]]:
-    out: dict[int, list[tuple[str, int]]] = {v: [] for v in c.vertices}
-    for v, label, w in c.transitions:
-        out[v].append((label, w))
-    return out
-
-
 def check_relation_bisim(c1: Chart, c2: Chart, pairs: set[Pair],
                          require_start: bool = True) -> BisimReport:
     """Check the forth/back/termination clauses of `pairs` between c1 and c2.
@@ -46,17 +39,17 @@ def check_relation_bisim(c1: Chart, c2: Chart, pairs: set[Pair],
                                "start vertices not related")
     elif not pairs:
         return BisimReport(False, "nonempty", None, "empty relation")
-    out1, out2 = _out_map(c1), _out_map(c2)
     for u, v in sorted(pairs):
         if (u in c1.terminating) != (v in c2.terminating):
             return BisimReport(False, "termination", (u, v),
                                "termination flags differ")
-        for label, u1 in out1[u]:
-            if not any(label == l2 and (u1, v1) in pairs for l2, v1 in out2[v]):
+        out1, out2 = c1.out(u), c2.out(v)
+        for _, label, u1 in out1:
+            if not any(label == l2 and (u1, v1) in pairs for _, l2, v1 in out2):
                 return BisimReport(False, "forth", (u, v),
                                    f"no matching {label}-step on the right")
-        for label, v1 in out2[v]:
-            if not any(label == l1 and (u1, v1) in pairs for l1, u1 in out1[u]):
+        for _, label, v1 in out2:
+            if not any(label == l1 and (u1, v1) in pairs for _, l1, u1 in out1):
                 return BisimReport(False, "back", (u, v),
                                    f"no matching {label}-step on the left")
     return BisimReport(True)
@@ -70,11 +63,8 @@ def _refine(charts: list[Chart]) -> dict[tuple[int, int], int]:
     Returns vertex -> block id for the coarsest bisimulation equivalence.
     """
     verts = [(i, v) for i, c in enumerate(charts) for v in sorted(c.vertices)]
-    outs = {}
-    for i, c in enumerate(charts):
-        out = _out_map(c)
-        for v in c.vertices:
-            outs[(i, v)] = [(label, (i, w)) for label, w in out[v]]
+    outs = {(i, v): [(label, (i, w)) for _, label, w in charts[i].out(v)]
+            for i, v in verts}
     block = {x: int(x[1] in charts[x[0]].terminating) for x in verts}
     while True:
         signatures = {
@@ -142,7 +132,6 @@ def naive_bisim_oracle(c1: Chart, c2: Chart, cap: int = 60) -> set[Pair]:
     full relation.  Independent of the refinement implementation."""
     if len(c1.vertices) + len(c2.vertices) > cap:
         raise CapExceeded(f"{len(c1.vertices)} + {len(c2.vertices)} vertices > {cap}")
-    out1, out2 = _out_map(c1), _out_map(c2)
     pairs = {(u, v)
              for u in c1.vertices for v in c2.vertices
              if (u in c1.terminating) == (v in c2.terminating)}
@@ -150,10 +139,11 @@ def naive_bisim_oracle(c1: Chart, c2: Chart, cap: int = 60) -> set[Pair]:
     while changed:
         changed = False
         for u, v in sorted(pairs):
-            ok = all(any(l2 == label and (u1, v1) in pairs for l2, v1 in out2[v])
-                     for label, u1 in out1[u]) and \
-                 all(any(l1 == label and (u1, v1) in pairs for l1, u1 in out1[u])
-                     for label, v1 in out2[v])
+            out1, out2 = c1.out(u), c2.out(v)
+            ok = all(any(l2 == label and (u1, v1) in pairs for _, l2, v1 in out2)
+                     for _, label, u1 in out1) and \
+                 all(any(l1 == label and (u1, v1) in pairs for _, l1, u1 in out1)
+                     for _, label, v1 in out2)
             if not ok:
                 pairs.discard((u, v))
                 changed = True

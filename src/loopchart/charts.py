@@ -8,14 +8,12 @@ same data type serves both kinds; operations state which they expect.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .syntax import IDENT_RE
 
 EMPTY = "1"  # the reserved empty-step label
-_CLOSED = sys.maxsize  # above every discovery number of `cyclic`
 
 
 class SchemaError(Exception):
@@ -125,51 +123,39 @@ def reach(steps, roots, stop=frozenset()) -> list:
     return order
 
 
-def cyclic(steps, roots, stop=frozenset()) -> set:
-    """The vertices `reach(steps, roots, stop)` visits that lie on a cycle
-    of the steps it follows, so on no cycle through a member of `stop`.
-    Tarjan's strongly connected components algorithm (R. Tarjan, "Depth-
-    first search and linear graph algorithms", SIAM J. Comput. 1972),
-    without recursion."""
-    index: dict = {}  # vertex -> discovery number, _CLOSED once its component is
-    component: list = []  # visited vertices whose component is still open
+def doomed(steps, roots, stop, marked) -> set:
+    """The vertices `reach(steps, roots, stop)` visits that reach, without
+    passing a member of `stop`, a cycle or a `marked` vertex.  One
+    depth-first search: a vertex is doomed if it is marked, or if it has a
+    step to a vertex on the current search path or to a doomed vertex.  A
+    finished vertex's status is final: if it is not doomed, every vertex it
+    reaches is finished and not doomed.  Members of `stop` are never
+    expanded and never doomed."""
     found = set()
+    on_path: dict = {}  # False once a vertex is finished
     for root in roots:
-        if root in index:
+        if root in on_path:
             continue
-        index[root] = len(index)
-        component.append(root)
-        # frames are [vertex, its remaining steps, lowest number it reaches]
-        stack = [[root, iter(() if root in stop else steps(root) or ()), index[root]]]
+        on_path[root] = True
+        stack = [(root, iter(() if root in stop else steps(root) or ()))]
         while stack:
-            frame = stack[-1]
-            v, it, _ = frame
+            v, it = stack[-1]
             for step in it:
                 w = step[-1]
-                i = index.get(w)
-                if i is None:
-                    i = index[w] = len(index)
-                    component.append(w)
-                    stack.append([w, iter(() if w in stop else steps(w) or ()), i])
+                state = on_path.get(w)
+                if state is None:
+                    on_path[w] = True
+                    stack.append((w, iter(() if w in stop else steps(w) or ())))
                     break
-                if i < frame[2]:
-                    frame[2] = i
-                elif w == v:
+                if state or w in found:
                     found.add(v)
             else:
+                on_path[v] = False
                 stack.pop()
-                low = frame[2]
-                if stack and low < stack[-1][2]:
-                    stack[-1][2] = low
-                if low == index[v]:
-                    w = component.pop()
-                    index[w] = _CLOSED
-                    if w != v:
-                        found.add(w)
-                        while w != v:
-                            w = component.pop()
-                            index[w] = _CLOSED
-                            found.add(w)
+                if v in marked and v not in stop:
+                    found.add(v)
+                if stack and v in found:
+                    found.add(stack[-1][0])
     return found
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .charts import (
     Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
-    cyclic, find_cycle, has_infinite_path, reach, reachable,
+    doomed, find_cycle, has_infinite_path, reach, reachable,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -206,12 +206,13 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     one whose vertices other than v lie on no cycle of the chart after its
     elimination.  No later step can then start at a vertex inside it, so
     the recording of the trace stays layered.  Without one the round takes
-    the first loop found.
+    the first loop found.  `_innermost` tests a loop on the current chart,
+    so each round eliminates only the loop it chooses.
 
     The budget bounds the search: each vertex pass costs one unit, and so
     does each loop elimination, with its loop-subchart check.  Exceeding it
     raises SearchBudgetExceeded.  The result counts the rounds, vertex
-    passes, eliminations (those of loops not chosen included), the rounds
+    passes, eliminations (one per round, so one per trace step), the rounds
     that fell back to a loop that is not innermost, and the budget used."""
     if budget is None:
         budget = _budget_default()
@@ -227,82 +228,62 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     steps: list[EliminationStep] = []
     while has_infinite_path(current):
         result.rounds += 1
-        into = _reverse_index(current)
-        chosen: Optional[tuple[EliminationStep, Chart]] = None
+        chosen: Optional[EliminationStep] = None
         for v in sorted(current.vertices):
             spend()
             result.vertex_passes += 1
-            loop = _maximal_loop(current, v, into)
+            loop = _maximal_loop(current, v)
             if loop is None:
                 continue
             entry_set, body = loop
-            step = EliminationStep(v, entry_set)
-            spend()
-            result.eliminations += 1
-            after = eliminate_loop(current, v, entry_set)
-            if chosen is None:
-                chosen = (step, after)
-            if body.isdisjoint(_on_cycle_through(after, v, into) - {v}):
-                chosen = (step, after)
+            if _innermost(current, v, entry_set, body):
+                chosen = EliminationStep(v, entry_set)
                 break
+            if chosen is None:
+                chosen = EliminationStep(v, entry_set)
         else:
             if chosen is None:
                 return result
             result.fallbacks += 1
-        steps.append(chosen[0])
-        current = chosen[1]
+        spend()
+        result.eliminations += 1
+        current = eliminate_loop(current, chosen.vertex, chosen.entry_set)
+        steps.append(chosen)
     result.holds = True
     result.trace = EliminationTrace(steps)
     return result
 
 
-def _reverse_index(c: Chart) -> dict[int, list[Transition]]:
-    """Each vertex's incoming transitions, reversed, so that a step's last
-    item is its source and `reach` walks backwards."""
-    into: dict[int, list[Transition]] = {}
-    for t in c.transitions:
-        into.setdefault(t[2], []).append(t[::-1])
-    return into
-
-
-def _maximal_loop(c: Chart, v: int, into: dict[int, list[Transition]]
+def _maximal_loop(c: Chart, v: int
                   ) -> Optional[tuple[frozenset[Transition], frozenset[int]]]:
     """The maximal entry set at v and its body, the vertex set of the
     subchart it generates, or None when that set is no loop entry.
-    `into` is c's reverse index.
 
-    Only the region that v's transitions reach without passing v matters.
-    A transition (v, a, w) with w != v is admissible iff w reaches, within
-    that region minus v, no cycle and no terminating vertex: one pass of
-    Tarjan's algorithm finds the cycles, one backward walk the vertices
-    that reach them or termination.  Linear in the size of the region."""
+    A transition (v, a, w) with w != v is admissible iff w reaches, without
+    passing v, no cycle and no terminating vertex: one depth-first pass
+    from v's targets finds the blocked vertices that do.  Linear in the
+    size of the region v's transitions reach without passing v."""
     out = c.out_index().get
-    targets = [w for _, _, w in out(v) or ()]
-    region = reach(out, targets, {v})
-    if v not in region:
-        return None  # v lies on no cycle
-    inner = set(region) - {v}
-    doomed = cyclic(out, targets, {v})
-    doomed.update(inner & c.terminating)
-    blocked = set(reach(lambda x: into.get(x) if x in inner else None, doomed))
-    entries = frozenset(t for t in out(v) if t[2] == v or t[2] not in blocked)
+    blocked = doomed(out, [w for _, _, w in out(v) or ()], {v}, c.terminating)
+    entries = frozenset(t for t in out(v) or () if t[2] not in blocked)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
     if v not in body:
         return None
     return entries, body
 
 
-def _on_cycle_through(c: Chart, v: int, into: dict[int, list[Transition]]
-                      ) -> frozenset[int]:
-    """The vertices reachable from v in c that reach v back.  After a loop
-    at v is eliminated, a vertex of its body lies on a cycle only through
-    v: a cycle avoiding v would have lain in the loop subchart (L2).
-
-    `into` may be the reverse index of the chart that c came from by
-    eliminating a loop at v: a path into v that ends at its first visit to
-    v takes no transition out of v, so a vertex of c that reaches v there
-    reaches it in c along the same path."""
-    return frozenset(reach(into.get, [v])).intersection(reach(c.out_index().get, [v]))
+def _innermost(c: Chart, v: int, entries: frozenset[Transition],
+               body: frozenset[int]) -> bool:
+    """Whether no body vertex other than v lies on a cycle once the loop is
+    eliminated, read off c itself.  v stays reachable, since a path to its
+    first visit takes no entry; a cycle through another body vertex passes
+    v, since L2 rules out cycles avoiding v and the body is closed under
+    steps up to v.  So the loop is innermost iff no body vertex that v
+    reaches without an entry reaches v back."""
+    out = c.out_index().get
+    others = [t[2] for t in out(v) or () if t not in entries]
+    met = [x for x in reach(out, others, {v}) if x != v and x in body]
+    return v not in reach(out, met, {v})
 
 
 def exhaustive_lee(c: Chart) -> LeeResult:

@@ -235,7 +235,8 @@ VERTEX_CAP = 100_000
 
 
 def _close(start, step_fn, alphabet, cap: int):
-    """Breadth-first closure; returns (Chart, id -> expression)."""
+    """Breadth-first closure under `step_fn`, whose steps carry their label
+    first and their target last; returns (Chart, id -> expression)."""
     ids = {start: 0}
     order = [start]
     transitions = set()
@@ -243,7 +244,7 @@ def _close(start, step_fn, alphabet, cap: int):
     while index < len(order):
         source = order[index]
         index += 1
-        for label, target in sorted(step_fn(source), key=lambda s: (s[0], render(s[1]))):
+        for label, *_, target in sorted(step_fn(source), key=lambda s: (s[0], render(s[-1]))):
             if target not in ids:
                 if len(ids) >= cap:
                     raise StateExplosion(f"more than {cap} vertices")
@@ -274,7 +275,7 @@ def onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
 
 
 def onechart_of_with_exprs(e: StarExpr, cap: int = VERTEX_CAP) -> tuple[Chart, dict[int, StackedExpr]]:
-    return _close(Plain(e), steps_stacked, actions_of(e), cap)
+    return _close(Plain(e), labeled_steps_stacked, actions_of(e), cap)
 
 
 def labeled_onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> EntryBodyLabeling:

@@ -24,6 +24,17 @@ def test_all_pairs_on_ne1_fails_forth(ne1):
     assert report.clause in ("forth", "back")
 
 
+def test_failing_step_is_reported_in_label_order():
+    """Every label of the left start fails forth; the report names the
+    smallest, whatever the hash seed orders the transition set by."""
+    left = Chart(frozenset("abcde"), 0, frozenset({0, 1}),
+                 frozenset((0, label, 1) for label in "edcba"), frozenset())
+    right = Chart(frozenset("abcde"), 0, frozenset({0}), frozenset(), frozenset())
+    report = check_relation_bisim(left, right, {(0, 0)})
+    assert (report.clause, report.pair) == ("forth", (0, 0))
+    assert report.detail == "no matching a-step on the right"
+
+
 def test_empty_relation_fails():
     c = semantics.chart_of(Act("a"))
     assert check_relation_bisim(c, c, set()).clause == "start"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import (
-    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, cyclic,
+    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, doomed,
     find_cycle, from_json, has_infinite_path, induced_of, reach, reachable,
     rooted_subchart, to_dot, to_json,
 )
@@ -228,11 +228,16 @@ def test_index_and_traversals_agree_with_naive_scans(c):
     if cycle is not None:
         steps = {(v, w) for v, _, w in c.transitions}
         assert all((v, w) in steps for v, w in zip(cycle, cycle[1:] + cycle[:1]))
-    # on a cycle: reached again from its own successors; with the start as
-    # a stop, as decide_lee calls it, on a cycle avoiding the start
+    # doomed: reaches, without passing a stop, a vertex on a cycle avoiding
+    # the stops or a marked vertex other than a stop; with the start as the
+    # stop and its targets as roots, as decide_lee calls it, a terminating
+    # start dooms none of its predecessors
     out = c.out_index().get
     for roots, stop in (([c.start], frozenset()),
                         ([w for _, _, w in c.out(c.start)], frozenset({c.start}))):
-        assert cyclic(out, roots, stop) == {
-            x for x in reach(out, roots, stop) if x not in stop
-            and x in reach(out, [w for _, _, w in c.out(x)], stop)}
+        for marked in (frozenset(), c.terminating):
+            bad = {y for y in c.vertices if y not in stop and (
+                y in marked or y in reach(out, [w for _, _, w in c.out(y)], stop))}
+            assert doomed(out, roots, stop, marked) == {
+                x for x in reach(out, roots, stop) if x not in stop
+                and not bad.isdisjoint(reach(out, [x], stop))}

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
-from loopchart.charts import Chart, has_infinite_path
+from loopchart.charts import Chart, has_infinite_path, reach, reachable
 from loopchart.cli import enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, NotALoopSubchart,
-    SearchBudgetExceeded, TraceReplayError, _maximal_loop, _reverse_index,
+    SearchBudgetExceeded, TraceReplayError, _innermost, _maximal_loop,
     check_loop_chart, decide_lee, eliminate_loop, entries_of, exhaustive_lee,
     loop_subchart_generated, recording_labeling, validate_llee,
     validate_llee_alt,
@@ -104,6 +104,8 @@ def test_decide_lee_budget(chart_f):
 def test_decide_lee_counts_its_search(chart_g0):
     result = decide_lee(chart_g0)
     assert result.rounds == len(result.trace.steps)
+    # only the loop each round chooses is eliminated
+    assert result.eliminations == len(result.trace.steps)
     assert result.checks == result.vertex_passes + result.eliminations
     # a size-100 sample: a 12-vertex, 122-transition chart without LEE
     c = semantics.chart_of(sample_exprs(["a", "b"], 1, 100, 10)[0])
@@ -111,6 +113,8 @@ def test_decide_lee_counts_its_search(chart_g0):
     assert not result.holds and result.rounds >= 5
     # one pass per vertex and round, however many transitions it has
     assert result.vertex_passes <= (result.rounds + 1) * len(c.vertices)
+    # the last round finds no loop
+    assert result.eliminations == result.rounds - 1
     assert result.checks == result.vertex_passes + result.eliminations
     assert result.fallbacks <= result.rounds
 
@@ -253,9 +257,24 @@ def maximal_loop_by_definition(c, v):
     return (frozenset(entries), frozenset(body)) if loops else None
 
 
+def innermost_by_definition(c, v, entries, body):
+    """No body vertex other than v lies on a cycle of the chart that
+    eliminating the loop leaves."""
+    after = eliminate_loop(c, v, entries)
+    out = after.out_index().get
+    on_cycle = {x for x in after.vertices
+                if x in reach(out, [w for _, _, w in after.out(x)])}
+    return (body - {v}).isdisjoint(on_cycle)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_charts(1, 8))
 def test_maximal_loop_matches_the_definition(c):
-    into = _reverse_index(c)
     for v in sorted(c.vertices):
-        assert _maximal_loop(c, v, into) == maximal_loop_by_definition(c, v)
+        assert _maximal_loop(c, v) == maximal_loop_by_definition(c, v)
+    # decide_lee tests loops on charts whose every vertex is reachable
+    r = reachable(c)
+    for v in sorted(r.vertices):
+        loop = _maximal_loop(r, v)
+        if loop is not None:
+            assert _innermost(r, v, *loop) == innermost_by_definition(r, v, *loop)
