@@ -102,14 +102,11 @@ def enumerate_exprs(alphabet: Sequence[str], max_size: int) -> Iterator[StarExpr
             bucket.extend(atoms)
         else:
             bucket.extend(Star(e) for e in by_size[size - 1])
-            for left_size in range(1, size - 1):
-                for left in by_size[left_size]:
-                    for right in by_size[size - 1 - left_size]:
-                        bucket.append(Sum(left, right))
-            for left_size in range(1, size - 1):
-                for left in by_size[left_size]:
-                    for right in by_size[size - 1 - left_size]:
-                        bucket.append(Prod(left, right))
+            for op in (Sum, Prod):
+                for left_size in range(1, size - 1):
+                    for left in by_size[left_size]:
+                        for right in by_size[size - 1 - left_size]:
+                            bucket.append(op(left, right))
         by_size.append(bucket)
         yield from bucket
 
@@ -247,6 +244,19 @@ def _run_verify(e: StarExpr, which: str, fmt: str) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# the errors that exit 2 and their stderr line; the first matching class wins
+_EXIT_2 = {
+    ParseError: "parse error: {}",
+    SchemaError: "schema error: {}",
+    lee.SearchBudgetExceeded: "search budget exceeded: {}",
+    lee.InvalidBudget: "usage error: {}",
+    RecursionError: "error: input nested too deeply (recursion limit reached)",
+    semantics.StateExplosion: "state explosion: {}",
+    semantics.AmbiguousMarking: "ambiguous marking: {}",
+    OSError: "error: {}",
+}
+
+
 def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
@@ -327,30 +337,9 @@ def run_cli(argv: Sequence[str]) -> int:
             print(json.dumps(summary) if fmt == "json"
                   else f"corpus: {len(corpus)} expressions, {failures} failures")
             return 0 if failures == 0 else 1
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    except SchemaError as err:
-        print(f"schema error: {err}", file=sys.stderr)
-        return 2
-    except lee.SearchBudgetExceeded as err:
-        print(f"search budget exceeded: {err}", file=sys.stderr)
-        return 2
-    except lee.InvalidBudget as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nested too deeply (recursion limit reached)",
-              file=sys.stderr)
-        return 2
-    except semantics.StateExplosion as err:
-        print(f"state explosion: {err}", file=sys.stderr)
-        return 2
-    except semantics.AmbiguousMarking as err:
-        print(f"ambiguous marking: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except tuple(_EXIT_2) as err:
+        line = next(text for cls, text in _EXIT_2.items() if isinstance(err, cls))
+        print(line.format(err), file=sys.stderr)
         return 2
     return 0
 

@@ -81,7 +81,11 @@ class LeeResult:
     vertex_passes: int = 0
     eliminations: int = 0
     fallbacks: int = 0
-    checks: int = 0
+
+    @property
+    def checks(self) -> int:
+        """The budget used: one unit per vertex pass and per elimination."""
+        return self.vertex_passes + self.eliminations
 
 
 @dataclass
@@ -219,8 +223,7 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     result = LeeResult(False)
 
     def spend() -> None:
-        result.checks += 1
-        if result.checks > budget:
+        if result.checks >= budget:
             raise SearchBudgetExceeded(
                 f"more than {budget} vertex passes and loop eliminations")
 

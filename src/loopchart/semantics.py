@@ -12,9 +12,11 @@ Two step systems, both executable:
 Termination, normed, normed+ and star height are measures stored on each
 interned node (see ``syntax._Node``).  ``normedness`` computes normed and
 normed+ as fixpoints instead: it is the oracle the tests check the stored
-measures against, and nothing in the package calls it.  The memo tables
-``_STEP_CACHE`` and ``_LSTEP_CACHE`` keep each node's plain and marked
-steps for the life of the process.
+measures against, and nothing in the package calls it.
+
+Each node's steps are computed once and kept in its ``_steps`` slot:
+``syntax.bottom_up`` fills the slots of exactly the nodes a rule reads,
+dependencies first, so no rule recurses and nesting depth is unbounded.
 
 Interpretation builders close an expression under the respective steps into
 a finite chart (breadth-first, dense vertex ids in discovery order).
@@ -25,7 +27,7 @@ from __future__ import annotations
 from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
     Act, One, Plain, Prod, SProd, SStack, Star, StarExpr, StackedExpr, Sum,
-    actions_of, render, sprod,
+    actions_of, bottom_up, render, sprod,
 )
 
 BODY = 0
@@ -40,50 +42,35 @@ class StateExplosion(Exception):
 
 
 # ---------------------------------------------------------------------------
-# plain steps (on StarExpr)
+# step rules: each reads the `_steps` slots of the nodes `_step_deps` lists
 
-_STEP_CACHE: dict[StarExpr, frozenset] = {}
+def _step_deps(node) -> tuple:
+    """The nodes whose steps the step rule for `node` reads."""
+    if isinstance(node, Plain):
+        return tuple(map(Plain, _step_deps(node.expr)))
+    if isinstance(node, (SProd, SStack)):
+        return (node.head,)
+    if isinstance(node, Sum):
+        return node.left, node.right
+    if isinstance(node, Prod):
+        return (node.left, node.right) if node.left.terminates else (node.left,)
+    return (node.body,) if isinstance(node, Star) else ()
 
 
-def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
-    cached = _STEP_CACHE.get(e)
-    if cached is not None:
-        return cached
-    out: set[tuple[str, StarExpr]] = set()
+def _plain_steps(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
     if isinstance(e, Act):
-        out.add((e.name, One()))
-    elif isinstance(e, Sum):
-        out |= steps_star(e.left)
-        out |= steps_star(e.right)
-    elif isinstance(e, Prod):
-        for a, e1 in steps_star(e.left):
-            out.add((a, Prod(e1, e.right)))
-        if e.left.terminates:
-            out |= steps_star(e.right)
-    elif isinstance(e, Star):
-        for a, e1 in steps_star(e.body):
-            out.add((a, Prod(e1, e)))
-    result = frozenset(out)
-    _STEP_CACHE[e] = result
-    return result
+        return frozenset({(e.name, One())})
+    if isinstance(e, Sum):
+        return e.left._steps | e.right._steps
+    if isinstance(e, Prod):
+        out = {(a, Prod(e1, e.right)) for a, e1 in e.left._steps}
+        return frozenset(out | e.right._steps if e.left.terminates else out)
+    if isinstance(e, Star):
+        return frozenset((a, Prod(e1, e)) for a, e1 in e.body._steps)
+    return frozenset()
 
 
-# ---------------------------------------------------------------------------
-# marked stacked steps (on StackedExpr)
-
-_LSTEP_CACHE: dict[StackedExpr, frozenset] = {}
-
-
-def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
-    """Stacked steps with their body/entry markings; label "1" is the empty
-    step.
-
-    Raises AmbiguousMarking if one (label, target) pair would carry two
-    distinct markings.
-    """
-    cached = _LSTEP_CACHE.get(E)
-    if cached is not None:
-        return cached
+def _marked_steps(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
     markings: dict[tuple[str, StackedExpr], int] = {}
 
     def record(label: str, marking: int, target: StackedExpr) -> None:
@@ -102,33 +89,46 @@ def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedEx
         elif isinstance(e, Sum):
             # the sum rule discards the premise marking
             for branch in (e.left, e.right):
-                for label, _, G in labeled_steps_stacked(Plain(branch)):
+                for label, _, G in Plain(branch)._steps:
                     record(label, BODY, G)
         elif isinstance(e, Prod):
-            for label, m, H in labeled_steps_stacked(Plain(e.left)):
+            for label, m, H in Plain(e.left)._steps:
                 record(label, m, sprod(H, e.right))
             if e.left.terminates:
-                for label, _, G in labeled_steps_stacked(Plain(e.right)):
+                for label, _, G in Plain(e.right)._steps:
                     record(label, BODY, G)
         elif isinstance(e, Star):
             level = e.star_height if e.body.normed_plus else BODY
-            for label, _, H in labeled_steps_stacked(Plain(e.body)):
+            for label, _, H in Plain(e.body)._steps:
                 record(label, level, SStack(H, e))
-    elif isinstance(E, SProd):
-        # no second-argument steps: a non-plain head never terminates
-        for label, m, H in labeled_steps_stacked(E.head):
-            record(label, m, sprod(H, E.tail))
-    elif isinstance(E, SStack):
-        for label, m, H in labeled_steps_stacked(E.head):
-            record(label, m, SStack(H, E.tail))
-        if E.head.terminates:
-            record(EMPTY, BODY, Plain(E.tail))
     else:
-        raise TypeError(E)
+        layer = SStack if isinstance(E, SStack) else sprod
+        for label, m, H in E.head._steps:
+            record(label, m, layer(H, E.tail))
+        # a product has no second-argument steps: a non-plain head never
+        # terminates
+        if isinstance(E, SStack) and E.head.terminates:
+            record(EMPTY, BODY, Plain(E.tail))
+    return frozenset((label, m, G) for (label, G), m in markings.items())
 
-    result = frozenset((label, m, G) for (label, G), m in markings.items())
-    _LSTEP_CACHE[E] = result
-    return result
+
+def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
+    """Plain steps of e."""
+    if not isinstance(e, StarExpr):
+        raise TypeError(e)
+    return bottom_up(e, "_steps", _step_deps, _plain_steps)
+
+
+def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
+    """Stacked steps with their body/entry markings; label "1" is the empty
+    step.
+
+    Raises AmbiguousMarking if one (label, target) pair would carry two
+    distinct markings.
+    """
+    if not isinstance(E, StackedExpr):
+        raise TypeError(E)
+    return bottom_up(E, "_steps", _step_deps, _marked_steps)
 
 
 def steps_stacked(E: StackedExpr) -> frozenset[tuple[str, StackedExpr]]:
@@ -234,60 +234,55 @@ def entry_shape_ok(E: StackedExpr, label: str, level: int,
 VERTEX_CAP = 100_000
 
 
-def _close(start, step_fn, alphabet, cap: int):
-    """Breadth-first closure under `step_fn`, whose steps carry their label
-    first and their target last; returns (Chart, id -> expression)."""
+def _close(start, step_fn, alphabet):
+    """Breadth-first closure under `step_fn`, whose steps are (label,
+    *middle, target); returns (Chart, id -> expression, transition -> middle)."""
     ids = {start: 0}
     order = [start]
-    transitions = set()
+    middles = {}
     index = 0
     while index < len(order):
         source = order[index]
         index += 1
-        for label, *_, target in sorted(step_fn(source), key=lambda s: (s[0], render(s[-1]))):
+        for label, *middle, target in sorted(step_fn(source), key=lambda s: (s[0], render(s[-1]))):
             if target not in ids:
-                if len(ids) >= cap:
-                    raise StateExplosion(f"more than {cap} vertices")
+                if len(ids) >= VERTEX_CAP:
+                    raise StateExplosion(f"more than {VERTEX_CAP} vertices")
                 ids[target] = len(order)
                 order.append(target)
-            transitions.add((ids[source], label, ids[target]))
+            middles[(ids[source], label, ids[target])] = middle
     chart = Chart(
         alphabet=frozenset(alphabet),
         start=0,
         vertices=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
+        transitions=frozenset(middles),
         terminating=frozenset(ids[x] for x in order if x.terminates),
         annotations={ids[x]: render(x) for x in order},
     )
-    return chart, dict(enumerate(order))
+    return chart, dict(enumerate(order)), middles
 
 
-def chart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
-    return chart_of_with_exprs(e, cap)[0]
+def chart_of(e: StarExpr) -> Chart:
+    return chart_of_with_exprs(e)[0]
 
 
-def chart_of_with_exprs(e: StarExpr, cap: int = VERTEX_CAP) -> tuple[Chart, dict[int, StarExpr]]:
-    return _close(e, steps_star, actions_of(e), cap)
+def chart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StarExpr]]:
+    return _close(e, steps_star, actions_of(e))[:2]
 
 
-def onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> Chart:
-    return onechart_of_with_exprs(e, cap)[0]
+def onechart_of(e: StarExpr) -> Chart:
+    return onechart_of_with_exprs(e)[0]
 
 
-def onechart_of_with_exprs(e: StarExpr, cap: int = VERTEX_CAP) -> tuple[Chart, dict[int, StackedExpr]]:
-    return _close(Plain(e), labeled_steps_stacked, actions_of(e), cap)
+def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StackedExpr]]:
+    return _close(Plain(e), labeled_steps_stacked, actions_of(e))[:2]
 
 
-def labeled_onechart_of(e: StarExpr, cap: int = VERTEX_CAP) -> EntryBodyLabeling:
-    return labeled_onechart_of_with_exprs(e, cap)[0]
+def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
+    return labeled_onechart_of_with_exprs(e)[0]
 
 
 def labeled_onechart_of_with_exprs(
-        e: StarExpr, cap: int = VERTEX_CAP) -> tuple[EntryBodyLabeling, dict[int, StackedExpr]]:
-    chart, exprs = onechart_of_with_exprs(e, cap)
-    back = {E: vid for vid, E in exprs.items()}
-    marking: dict[tuple[int, str, int], int] = {}
-    for vid, E in exprs.items():
-        for label, m, target in labeled_steps_stacked(E):
-            marking[(vid, label, back[target])] = m
-    return EntryBodyLabeling(chart, marking), exprs
+        e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, StackedExpr]]:
+    chart, exprs, middles = _close(Plain(e), labeled_steps_stacked, actions_of(e))
+    return EntryBodyLabeling(chart, {t: m for t, (m,) in middles.items()}), exprs

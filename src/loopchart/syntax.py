@@ -33,6 +33,7 @@ class ParseError(Exception):
 # interned nodes
 
 _MEASURES = ("terminates", "normed", "normed_plus", "star_height")
+_SLOTS = ("_hash", "_text", "_steps")
 
 
 class _Node:
@@ -45,17 +46,18 @@ class _Node:
     value a frozen dataclass with these fields would have, so the iteration
     order of sets and dicts of nodes does not depend on how nodes are built.
     Tables are never cleared: every node ever built lives for the whole
-    process, like the step-rule memo tables of ``semantics``.
+    process.
 
     Each node also stores four measures, which its class's ``_derive``
     computes from the fields' stored measures (after rejecting invalid
     fields) when the node is first built: ``terminates`` (stacked layers
     never do), ``normed`` (some path of steps reaches termination),
     ``normed_plus`` (some step, empty or not, leads to a normed expression)
-    and ``star_height``.
+    and ``star_height``.  The slots ``_text`` (the rendering) and ``_steps``
+    (the steps ``semantics`` computes) start empty; `bottom_up` fills them.
     """
 
-    __slots__ = ("_hash", "_text") + _MEASURES
+    __slots__ = _SLOTS + _MEASURES
     _fields: tuple[str, ...] = ()
     _table: dict
 
@@ -80,15 +82,30 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
+def bottom_up(node: _Node, slot: str, deps, compute):
+    """The value of `slot` on `node`, filled without recursion.  For each
+    node n it reaches with an empty slot, the empty slots of the nodes
+    `deps(n)` lists are filled first, left to right, then n's is set to
+    `compute(n)`, which reads only those slots."""
+    stack = [(node, False)]
+    while stack:
+        top, ready = stack.pop()
+        if ready:
+            object.__setattr__(top, slot, compute(top))
+        elif getattr(top, slot) is None:
+            stack.append((top, True))
+            stack.extend([(d, False) for d in reversed(deps(top)) if getattr(d, slot) is None])
+    return getattr(node, slot)
+
+
 def _intern(cls, fields: tuple):
     node = cls._table.get(fields)
     if node is None:
         measures = cls._derive(*fields)
         node = object.__new__(cls)
-        for name, value in zip(cls._fields + _MEASURES, fields + measures):
+        for name, value in zip(cls._fields + _MEASURES + _SLOTS,
+                               fields + measures + (hash(fields), None, None)):
             object.__setattr__(node, name, value)
-        object.__setattr__(node, "_hash", hash(fields))
-        object.__setattr__(node, "_text", None)
         node = cls._table.setdefault(fields, node)
     return node
 
@@ -294,26 +311,19 @@ def _text_of(node: _Node) -> str:
     raise TypeError(node)
 
 
+def _children(node: _Node) -> list[_Node]:
+    return [child for child in map(node.__getattribute__, node._fields)
+            if isinstance(child, _Node)]
+
+
 def render(value: Union[StarExpr, StackedExpr]) -> str:
     """Parenthesization-minimal text; `@` is the stacked-star layer token.
 
-    Each node's text is computed once, bottom-up without recursion, and
-    cached on the node."""
+    Each node's text is computed once, by `bottom_up`, and cached on the
+    node."""
     if not isinstance(value, _Node):
         raise TypeError(value)
-    stack = [value]
-    while value._text is None:
-        node = stack.pop()
-        if node._text is not None:
-            continue
-        pending = [child for child in map(node.__getattribute__, node._fields)
-                   if isinstance(child, _Node) and child._text is None]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-        else:
-            object.__setattr__(node, "_text", _text_of(node))
-    return value._text
+    return value._text or bottom_up(value, "_text", _children, _text_of)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,15 @@ def test_cli_invalid_budget_env_exit_2(monkeypatch, capsys):
     assert "LOOPCHART_BUDGET" in err and len(err.splitlines()) == 1
 
 
-def test_cli_deep_nesting_exit_2(capsys):
-    # the step rules still recurse once per nested product
-    assert run_cli(["chart", ".".join(["a"] * 3000)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+def test_cli_deep_nesting_exit_0(capsys):
+    # the step rules run without recursion, so a left-nested chain of
+    # 10,000 products gets an answer
+    chain = ".".join(["a"] * 10_000)
+    assert run_cli(["chart", chain]) == 0
+    assert capsys.readouterr().out.startswith("chart: 10001 vertices")
+    assert run_cli(["verify", chain]) == 0
+    out = capsys.readouterr().out
+    assert "P1: pass" in out and "P2: pass" in out
 
 
 def test_cli_deep_parentheses_exit_0(capsys):
@@ -183,7 +187,7 @@ def test_cli_corpus_usage_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("error", [semantics.StateExplosion,
-                                   semantics.AmbiguousMarking])
+                                   semantics.AmbiguousMarking, RecursionError])
 def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     def fail(e):
         raise error("cap")

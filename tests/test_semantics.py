@@ -32,6 +32,19 @@ def test_steps_star():
     assert steps_star(e) == {("a", e1), ("b", e2)}
 
 
+def test_step_rules_reject_the_other_kind_of_expression():
+    # both rules keep their results in the same node slot, so each must
+    # refuse a node of the kind the other rule serves, filled or not
+    for e in (Act("a"), parse_star_expr("a*.b")):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                labeled_steps_stacked(e)
+            with pytest.raises(TypeError):
+                steps_star(Plain(e))
+            steps_star(e)
+            labeled_steps_stacked(Plain(e))
+
+
 def test_chart_of_one():
     c = chart_of(One())
     assert len(c.vertices) == 1
@@ -139,9 +152,10 @@ def test_closure_soundness(chart_g0, g0):
         assert actual == expected
 
 
-def test_state_explosion_cap():
+def test_state_explosion_cap(monkeypatch):
+    monkeypatch.setattr(semantics, "VERTEX_CAP", 2)
     with pytest.raises(semantics.StateExplosion):
-        chart_of(parse_star_expr("(a.a.a.a)*.(b.b.b.b)*"), cap=2)
+        chart_of(parse_star_expr("(a.a.a.a)*.(b.b.b.b)*"))
 
 
 def test_normed_plus_iff_step_to_normed(e_expr, f_expr):
