@@ -67,11 +67,7 @@ def verify_p1(e: StarExpr) -> VerifyReport:
 def verify_p2(e: StarExpr) -> VerifyReport:
     """The marked 1-chart interpretation is a layered entry/body witness,
     per both validators."""
-    try:
-        labeling = semantics.labeled_onechart_of(e)
-    except semantics.AmbiguousMarking as err:
-        return VerifyReport(render(e), "p2", False, {},
-                            {"kind": "ambiguous-marking", "detail": str(err)})
+    labeling = semantics.labeled_onechart_of(e)
     direct = lee.validate_llee(labeling)
     alt = lee.validate_llee_alt(labeling)
     stats = {
@@ -251,6 +247,7 @@ _EXIT_2 = {
     lee.SearchBudgetExceeded: "search budget exceeded: {}",
     lee.InvalidBudget: "usage error: {}",
     RecursionError: "error: input nested too deeply (recursion limit reached)",
+    MemoryError: "error: out of memory",
     semantics.StateExplosion: "state explosion: {}",
     semantics.AmbiguousMarking: "ambiguous marking: {}",
     OSError: "error: {}",

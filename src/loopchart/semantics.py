@@ -3,20 +3,25 @@
 Two step systems, both executable:
 
 * plain steps on StarExpr (the classical process semantics);
-* marked stacked steps on StackedExpr (``labeled_steps_stacked``): leaving
-  a star body back to the iteration takes an empty step (label "1"), and
-  unfolding a star whose body is normed+ is an entry of level the star's
-  height, every other step a body step.  ``steps_stacked`` is this one
-  walker without the markings, so it too can raise AmbiguousMarking.
+* marked stacked steps on stacked expressions, plain ones included
+  (``labeled_steps_stacked``): leaving a star body back to the iteration
+  takes an empty step (label "1"), and unfolding a star whose body is
+  normed+ is an entry of level the star's height, every other step a body
+  step.  ``steps_stacked`` is this one walker without the markings, so it
+  too can raise AmbiguousMarking.
+
+A plain expression is its own 1-chart state, so a plain node carries both
+kinds of steps.
 
 Termination, normed, normed+ and star height are measures stored on each
 interned node (see ``syntax._Node``).  ``normedness`` computes normed and
 normed+ as fixpoints instead: it is the oracle the tests check the stored
 measures against, and nothing in the package calls it.
 
-Each node's steps are computed once and kept in its ``_steps`` slot:
-``syntax.bottom_up`` fills the slots of exactly the nodes a rule reads,
-dependencies first, so no rule recurses and nesting depth is unbounded.
+Each node's steps are computed once and kept in a slot, ``_steps`` for the
+plain steps and ``_marked`` for the marked ones: ``syntax.bottom_up`` fills
+the slots of exactly the nodes a rule reads, dependencies first, so no rule
+recurses and nesting depth is unbounded.
 
 Interpretation builders close an expression under the respective steps into
 a finite chart (breadth-first, dense vertex ids in discovery order).
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
-    Act, One, Plain, Prod, SProd, SStack, Star, StarExpr, StackedExpr, Sum,
+    Act, One, Prod, SProd, SStack, Star, Stacked, StarExpr, StackedExpr, Sum,
     actions_of, bottom_up, render, sprod,
 )
 
@@ -42,12 +47,10 @@ class StateExplosion(Exception):
 
 
 # ---------------------------------------------------------------------------
-# step rules: each reads the `_steps` slots of the nodes `_step_deps` lists
+# step rules: each reads the slot it fills on the nodes `_step_deps` lists
 
 def _step_deps(node) -> tuple:
-    """The nodes whose steps the step rule for `node` reads."""
-    if isinstance(node, Plain):
-        return tuple(map(Plain, _step_deps(node.expr)))
+    """The nodes whose steps the step rules for `node` read."""
     if isinstance(node, (SProd, SStack)):
         return (node.head,)
     if isinstance(node, Sum):
@@ -70,10 +73,10 @@ def _plain_steps(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
     return frozenset()
 
 
-def _marked_steps(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
-    markings: dict[tuple[str, StackedExpr], int] = {}
+def _marked_steps(E: Stacked) -> frozenset[tuple[str, int, Stacked]]:
+    markings: dict[tuple[str, Stacked], int] = {}
 
-    def record(label: str, marking: int, target: StackedExpr) -> None:
+    def record(label: str, marking: int, target: Stacked) -> None:
         key = (label, target)
         old = markings.get(key)
         if old is not None and old != marking:
@@ -82,33 +85,31 @@ def _marked_steps(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
                 f"marked both {old} and {marking}")
         markings[key] = marking
 
-    if isinstance(E, Plain):
-        e = E.expr
-        if isinstance(e, Act):
-            record(e.name, BODY, Plain(One()))
-        elif isinstance(e, Sum):
-            # the sum rule discards the premise marking
-            for branch in (e.left, e.right):
-                for label, _, G in Plain(branch)._steps:
-                    record(label, BODY, G)
-        elif isinstance(e, Prod):
-            for label, m, H in Plain(e.left)._steps:
-                record(label, m, sprod(H, e.right))
-            if e.left.terminates:
-                for label, _, G in Plain(e.right)._steps:
-                    record(label, BODY, G)
-        elif isinstance(e, Star):
-            level = e.star_height if e.body.normed_plus else BODY
-            for label, _, H in Plain(e.body)._steps:
-                record(label, level, SStack(H, e))
-    else:
+    if isinstance(E, Act):
+        record(E.name, BODY, One())
+    elif isinstance(E, Sum):
+        # the sum rule discards the premise marking
+        for branch in (E.left, E.right):
+            for label, _, G in branch._marked:
+                record(label, BODY, G)
+    elif isinstance(E, Prod):
+        for label, m, H in E.left._marked:
+            record(label, m, sprod(H, E.right))
+        if E.left.terminates:
+            for label, _, G in E.right._marked:
+                record(label, BODY, G)
+    elif isinstance(E, Star):
+        level = E.star_height if E.body.normed_plus else BODY
+        for label, _, H in E.body._marked:
+            record(label, level, SStack(H, E))
+    elif isinstance(E, (SProd, SStack)):
         layer = SStack if isinstance(E, SStack) else sprod
-        for label, m, H in E.head._steps:
+        for label, m, H in E.head._marked:
             record(label, m, layer(H, E.tail))
         # a product has no second-argument steps: a non-plain head never
         # terminates
         if isinstance(E, SStack) and E.head.terminates:
-            record(EMPTY, BODY, Plain(E.tail))
+            record(EMPTY, BODY, E.tail)
     return frozenset((label, m, G) for (label, G), m in markings.items())
 
 
@@ -119,19 +120,19 @@ def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
     return bottom_up(e, "_steps", _step_deps, _plain_steps)
 
 
-def labeled_steps_stacked(E: StackedExpr) -> frozenset[tuple[str, int, StackedExpr]]:
+def labeled_steps_stacked(E: Stacked) -> frozenset[tuple[str, int, Stacked]]:
     """Stacked steps with their body/entry markings; label "1" is the empty
     step.
 
     Raises AmbiguousMarking if one (label, target) pair would carry two
     distinct markings.
     """
-    if not isinstance(E, StackedExpr):
+    if not isinstance(E, (StarExpr, StackedExpr)):
         raise TypeError(E)
-    return bottom_up(E, "_steps", _step_deps, _marked_steps)
+    return bottom_up(E, "_marked", _step_deps, _marked_steps)
 
 
-def steps_stacked(E: StackedExpr) -> frozenset[tuple[str, StackedExpr]]:
+def steps_stacked(E: Stacked) -> frozenset[tuple[str, Stacked]]:
     """All steps of E, the marked steps without their markings; label "1" is
     the empty step."""
     return frozenset((label, G) for label, _, G in labeled_steps_stacked(E))
@@ -140,7 +141,7 @@ def steps_stacked(E: StackedExpr) -> frozenset[tuple[str, StackedExpr]]:
 # ---------------------------------------------------------------------------
 # normedness oracle
 
-def normedness(E: StackedExpr) -> dict[StackedExpr, tuple[bool, bool]]:
+def normedness(E: Stacked) -> dict[Stacked, tuple[bool, bool]]:
     """(normed, normed_plus) of every expression in the sub-system that E
     generates, as fixpoints over its steps: the oracle for the ``normed``
     and ``normed_plus`` measures stored on the nodes, which agree with it on
@@ -154,7 +155,7 @@ def normedness(E: StackedExpr) -> dict[StackedExpr, tuple[bool, bool]]:
     states = set(reach(steps_stacked, [E]))
     term = {F for F in states if F.terminates}
 
-    def least(seed, holds) -> set[StackedExpr]:
+    def least(seed, holds) -> set[Stacked]:
         """The least superset of seed that holds(F, set) adds no state to."""
         found = set(seed)
         changed = True
@@ -172,7 +173,7 @@ def normedness(E: StackedExpr) -> dict[StackedExpr, tuple[bool, bool]]:
 
     # induced transitions: empty steps, then one proper step
     empty_steps = {F: [s for s in steps_stacked(F) if s[0] == EMPTY] for F in states}
-    induced_succ: dict[StackedExpr, set[StackedExpr]] = {}
+    induced_succ: dict[Stacked, set[Stacked]] = {}
     for F in states:
         closure = reach(empty_steps.get, [F])
         induced_succ[F] = {
@@ -188,7 +189,7 @@ def normedness(E: StackedExpr) -> dict[StackedExpr, tuple[bool, bool]]:
 # ---------------------------------------------------------------------------
 # entry shape
 
-def star_decompositions(E: StackedExpr):
+def star_decompositions(E: Stacked):
     """All ways to write E as layers around a plain star: peel the stacked
     layers, then left factors of the plain core (a product layer over a
     plain head is itself a plain product)."""
@@ -196,7 +197,7 @@ def star_decompositions(E: StackedExpr):
     while isinstance(E, (SProd, SStack)):
         layers.append(("stack" if isinstance(E, SStack) else "prod", E.tail))
         E = E.head
-    core = E.expr
+    core = E
     results = []
     while True:
         if isinstance(core, Star):
@@ -208,21 +209,21 @@ def star_decompositions(E: StackedExpr):
             return results
 
 
-def _refill(layers, core: StackedExpr) -> StackedExpr:
+def _refill(layers, core: Stacked) -> Stacked:
     for kind, tail in reversed(layers):
         core = SStack(core, tail) if kind == "stack" else sprod(core, tail)
     return core
 
 
-def entry_shape_ok(E: StackedExpr, label: str, level: int,
-                   target: StackedExpr) -> bool:
+def entry_shape_ok(E: Stacked, label: str, level: int,
+                   target: Stacked) -> bool:
     """An entry of level n from E must unfold some star g* inside E with
     n = |g| + 1, the body g normed+, and the target the same position
     descended into the star body."""
     for layers, star in star_decompositions(E):
         if star.star_height != level or not star.body.normed_plus:
             continue
-        for l2, H in steps_stacked(Plain(star.body)):
+        for l2, H in steps_stacked(star.body):
             if l2 == label and _refill(layers, SStack(H, star)) == target:
                 return True
     return False
@@ -274,8 +275,8 @@ def onechart_of(e: StarExpr) -> Chart:
     return onechart_of_with_exprs(e)[0]
 
 
-def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StackedExpr]]:
-    return _close(Plain(e), labeled_steps_stacked, actions_of(e))[:2]
+def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, Stacked]]:
+    return _close(e, labeled_steps_stacked, actions_of(e))[:2]
 
 
 def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
@@ -283,6 +284,6 @@ def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
 
 
 def labeled_onechart_of_with_exprs(
-        e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, StackedExpr]]:
-    chart, exprs, middles = _close(Plain(e), labeled_steps_stacked, actions_of(e))
+        e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, Stacked]]:
+    chart, exprs, middles = _close(e, labeled_steps_stacked, actions_of(e))
     return EntryBodyLabeling(chart, {t: m for t, (m,) in middles.items()}), exprs

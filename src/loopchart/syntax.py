@@ -9,9 +9,11 @@ star body:
 
     E ::= e | E . e | E * e*        (the last layer rendered with ``@``)
 
-A product layer over a plain head is the same term as a plain product, so we
-keep stacked values canonical: ``sprod`` collapses ``SProd(Plain(h), t)`` to
-``Plain(Prod(h, t))``.  ``SStack`` layers never collapse.
+A plain expression is itself a stacked expression, and a product layer over
+a plain head is the same term as a plain product, so we keep stacked values
+canonical: ``sprod(h, t)`` is ``Prod(h, t)`` for a plain head ``h``, and
+``SProd`` is only built over a stacked head.  ``SStack`` layers never
+collapse.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class ParseError(Exception):
 # interned nodes
 
 _MEASURES = ("terminates", "normed", "normed_plus", "star_height")
-_SLOTS = ("_hash", "_text", "_steps")
+_SLOTS = ("_hash", "_text", "_steps", "_marked")
 
 
 class _Node:
@@ -53,8 +55,9 @@ class _Node:
     fields) when the node is first built: ``terminates`` (stacked layers
     never do), ``normed`` (some path of steps reaches termination),
     ``normed_plus`` (some step, empty or not, leads to a normed expression)
-    and ``star_height``.  The slots ``_text`` (the rendering) and ``_steps``
-    (the steps ``semantics`` computes) start empty; `bottom_up` fills them.
+    and ``star_height``.  The slots ``_text`` (the rendering), ``_steps``
+    (the plain steps) and ``_marked`` (the marked stacked steps), the last
+    two computed by ``semantics``, start empty; `bottom_up` fills them.
     """
 
     __slots__ = _SLOTS + _MEASURES
@@ -104,7 +107,7 @@ def _intern(cls, fields: tuple):
         measures = cls._derive(*fields)
         node = object.__new__(cls)
         for name, value in zip(cls._fields + _MEASURES + _SLOTS,
-                               fields + measures + (hash(fields), None, None)):
+                               fields + measures + (hash(fields), None, None, None)):
             object.__setattr__(node, name, value)
         node = cls._table.setdefault(fields, node)
     return node
@@ -206,28 +209,21 @@ class StackedExpr(_Node):
     __hash__ = _Node.__hash__
 
 
-class Plain(StackedExpr):
-    __slots__ = ("expr",)
-
-    def __new__(cls, expr: StarExpr):
-        return _intern(cls, (expr,))
-
-    @staticmethod
-    def _derive(expr):
-        return expr.terminates, expr.normed, expr.normed_plus, expr.star_height
+# a stacked star expression: a plain one or a stacked layer
+Stacked = Union[StarExpr, StackedExpr]
 
 
 class SProd(StackedExpr):
     __slots__ = ("head", "tail")
 
-    def __new__(cls, head: StackedExpr, tail: StarExpr):
+    def __new__(cls, head: Stacked, tail: StarExpr):
         return _intern(cls, (head, tail))
 
     @staticmethod
     def _derive(head, tail):
         # canonical form: a plain head belongs in a plain product (use sprod)
-        if isinstance(head, Plain):
-            raise ValueError("SProd over a Plain head; use sprod() to build products")
+        if isinstance(head, StarExpr):
+            raise ValueError("SProd over a plain head; use sprod() to build products")
         return (False, head.normed and tail.normed, head.normed_plus and tail.normed,
                 max(head.star_height, tail.star_height))
 
@@ -235,7 +231,7 @@ class SProd(StackedExpr):
 class SStack(StackedExpr):
     __slots__ = ("head", "tail")
 
-    def __new__(cls, head: StackedExpr, tail: Star):
+    def __new__(cls, head: Stacked, tail: Star):
         return _intern(cls, (head, tail))
 
     @staticmethod
@@ -249,23 +245,27 @@ class SStack(StackedExpr):
                 max(head.star_height, tail.star_height))
 
 
-def sprod(head: StackedExpr, tail: StarExpr) -> StackedExpr:
+def sprod(head: Stacked, tail: StarExpr) -> Stacked:
     """Product layer over a stacked head, collapsing plain heads."""
-    if isinstance(head, Plain):
-        return Plain(Prod(head.expr, tail))
-    return SProd(head, tail)
+    return Prod(head, tail) if isinstance(head, StarExpr) else SProd(head, tail)
 
 
 # ---------------------------------------------------------------------------
 # projection and actions
 
-def project(value: StackedExpr) -> StarExpr:
-    """Read every stacked layer as an ordinary product."""
-    if isinstance(value, Plain):
-        return value.expr
-    if isinstance(value, (SProd, SStack)):
-        return Prod(project(value.head), value.tail)
-    raise TypeError(value)
+def project(value: Stacked) -> StarExpr:
+    """Read every stacked layer as an ordinary product, without recursion:
+    peel the layers down to the plain core, then multiply their tails back
+    on, innermost first."""
+    tails = []
+    while isinstance(value, (SProd, SStack)):
+        tails.append(value.tail)
+        value = value.head
+    if not isinstance(value, StarExpr):
+        raise TypeError(value)
+    for tail in reversed(tails):
+        value = Prod(value, tail)
+    return value
 
 
 def actions_of(e: StarExpr) -> frozenset[str]:
@@ -296,8 +296,6 @@ def _text_of(node: _Node) -> str:
         return _wrap(node.left, _PROD) + "." + _wrap(node.right, _STAR)
     if isinstance(node, Star):
         return _wrap(node.body, _STAR) + "*"
-    if isinstance(node, Plain):
-        return node.expr._text
     if isinstance(node, SProd):
         head = node.head._text
         if isinstance(node.head, SStack):
@@ -305,7 +303,7 @@ def _text_of(node: _Node) -> str:
         return head + "." + _wrap(node.tail, _STAR)
     if isinstance(node, SStack):
         head = node.head._text
-        if isinstance(node.head, Plain) and isinstance(node.head.expr, Sum):
+        if isinstance(node.head, Sum):
             head = "(" + head + ")"
         return head + " @ " + _wrap(node.tail, _STAR)
     raise TypeError(node)
@@ -316,7 +314,7 @@ def _children(node: _Node) -> list[_Node]:
             if isinstance(child, _Node)]
 
 
-def render(value: Union[StarExpr, StackedExpr]) -> str:
+def render(value: Stacked) -> str:
     """Parenthesization-minimal text; `@` is the stacked-star layer token.
 
     Each node's text is computed once, by `bottom_up`, and cached on the

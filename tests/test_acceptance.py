@@ -15,7 +15,7 @@ import pytest
 
 from loopchart import bisim, charts, cli, lee, semantics
 from loopchart.charts import from_json, reachable, to_json
-from loopchart.syntax import Plain, parse_star_expr, render
+from loopchart.syntax import parse_star_expr, render
 
 
 def report(capfd, number, description, ok):
@@ -56,7 +56,7 @@ def _structural_laws(e, labeling, stacked):
         chart.terminating)
     if charts.find_cycle(body, body.vertices) is not None:
         bad.append(("c", render(e)))
-    oracle = semantics.normedness(Plain(e))
+    oracle = semantics.normedness(e)
     for E in stacked.values():
         if (E.normed, E.normed_plus) != oracle[E]:
             bad.append(("e", render(e), render(E)))

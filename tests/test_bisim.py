@@ -7,7 +7,7 @@ from loopchart.bisim import (
     CapExceeded, bisimilar, check_functional_bisim, check_relation_bisim,
     collapse, naive_bisim_oracle,
 )
-from loopchart.charts import Chart, induced_of, reachable
+from loopchart.charts import Chart, UnknownVertex, induced_of, reachable
 from loopchart.syntax import Act, parse_star_expr
 
 
@@ -38,7 +38,13 @@ def test_failing_step_is_reported_in_label_order():
 def test_empty_relation_fails():
     c = semantics.chart_of(Act("a"))
     assert check_relation_bisim(c, c, set()).clause == "start"
-    assert check_relation_bisim(c, c, set(), require_start=False).clause == "nonempty"
+
+
+def test_map_to_an_unknown_vertex_is_rejected():
+    c = semantics.chart_of(Act("a"))
+    for f in ({0: 0, 1: 5}, {7: 0}):
+        with pytest.raises(UnknownVertex):
+            check_functional_bisim(c, c, f)
 
 
 def test_bisimilar_reflexive(chart_g0, chart_e, chart_f, ne1, ne2):

@@ -187,7 +187,8 @@ def test_cli_corpus_usage_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("error", [semantics.StateExplosion,
-                                   semantics.AmbiguousMarking, RecursionError])
+                                   semantics.AmbiguousMarking, RecursionError,
+                                   MemoryError])
 def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     def fail(e):
         raise error("cap")
@@ -196,12 +197,13 @@ def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_cli_p1_exits_2_on_ambiguous_marking(monkeypatch, capsys):
-    # P1's 1-chart takes its steps from the marked walker too
+@pytest.mark.parametrize("which", ["p1", "p2", "all"])
+def test_cli_verify_exits_2_on_ambiguous_marking(monkeypatch, capsys, which):
+    # both 1-charts take their steps from the marked walker
     def fail(E):
         raise semantics.AmbiguousMarking("marked both 0 and 1")
     monkeypatch.setattr(semantics, "labeled_steps_stacked", fail)
-    assert run_cli(["verify", "a", "--property", "p1"]) == 2
+    assert run_cli(["verify", "a", "--property", which]) == 2
     assert capsys.readouterr().err == "ambiguous marking: marked both 0 and 1\n"
 
 

@@ -10,7 +10,8 @@ from loopchart.semantics import (
     onechart_of, steps_stacked, steps_star,
 )
 from loopchart.syntax import (
-    Act, One, Plain, Prod, SStack, Star, Sum, Zero, parse_star_expr, render,
+    Act, One, Prod, SStack, Star, StarExpr, Sum, Zero, parse_star_expr, project,
+    render,
 )
 
 
@@ -32,17 +33,34 @@ def test_steps_star():
     assert steps_star(e) == {("a", e1), ("b", e2)}
 
 
-def test_step_rules_reject_the_other_kind_of_expression():
-    # both rules keep their results in the same node slot, so each must
-    # refuse a node of the kind the other rule serves, filled or not
-    for e in (Act("a"), parse_star_expr("a*.b")):
-        for _ in range(2):
-            with pytest.raises(TypeError):
-                labeled_steps_stacked(e)
-            with pytest.raises(TypeError):
-                steps_star(Plain(e))
-            steps_star(e)
-            labeled_steps_stacked(Plain(e))
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_plain_node_keeps_both_kinds_of_steps(plain_first):
+    """A plain expression is its own 1-chart state: its plain and marked
+    steps live in two slots of the same node, whichever is filled first,
+    and the marked steps project onto the plain ones."""
+    # action names of their own, so that no other test has filled the slots
+    a, b, c = ("pa", "pb", "pc") if plain_first else ("ma", "mb", "mc")
+    texts = [a, f"{a}*.{b}", f"({a}.{b}*)*.({c} + 1)", f"(({a}*)*.{b})*",
+             f"(1 + {a}*)*.0"]
+    for e in map(parse_star_expr, texts):
+        assert e._steps is None and e._marked is None
+        if plain_first:
+            plain, marked = steps_star(e), labeled_steps_stacked(e)
+        else:
+            marked, plain = labeled_steps_stacked(e), steps_star(e)
+        assert {(label, project(G)) for label, _, G in marked} == plain
+    with pytest.raises(TypeError):
+        steps_star(SStack(One(), Star(Act("a"))))
+
+
+def test_plain_expression_is_its_own_onechart_state():
+    for text in ("a", "(a*.b*)*", "(a.b*)*.(c + 1)", "((a*)*.b)*"):
+        e = parse_star_expr(text)
+        _, exprs = semantics.onechart_of_with_exprs(e)
+        assert exprs[0] is e
+        for x in exprs.values():
+            if isinstance(x, StarExpr):
+                assert project(x) is x
 
 
 def test_chart_of_one():
@@ -67,14 +85,14 @@ def test_chart_of_f(chart_f):
 
 
 def test_terminates_stacked():
-    assert Plain(parse_star_expr("(a*.b*)*")).terminates
-    assert not SStack(Plain(One()), Star(Act("a"))).terminates
-    assert not Plain(parse_star_expr("1.0")).terminates
+    assert parse_star_expr("(a*.b*)*").terminates
+    assert not SStack(One(), Star(Act("a"))).terminates
+    assert not parse_star_expr("1.0").terminates
 
 
 def test_steps_stacked_sstack_one_rule():
-    E = SStack(Plain(One()), Star(Act("a")))
-    assert steps_stacked(E) == {(EMPTY, Plain(Star(Act("a"))))}
+    E = SStack(One(), Star(Act("a")))
+    assert steps_stacked(E) == {(EMPTY, Star(Act("a")))}
 
 
 def test_onechart_of_e(e_expr):
@@ -105,22 +123,22 @@ def test_normedness():
                            ("a*.b*", (True, True)), ("0", (False, False)),
                            # 0* terminates but has no transitions at all
                            ("0*", (True, False))]:
-        E = Plain(parse_star_expr(text))
+        E = parse_star_expr(text)
         assert normedness(E)[E] == expected
         assert (E.normed, E.normed_plus) == expected
 
 
 def test_labeled_steps_star_entry(e_expr):
-    steps = labeled_steps_stacked(Plain(e_expr))
+    steps = labeled_steps_stacked(e_expr)
     assert {(label, m) for label, m, _ in steps} == {("a", 2), ("b", 2)}
 
 
 def test_labeled_steps_zero_star():
-    assert labeled_steps_stacked(Plain(parse_star_expr("0*"))) == frozenset()
+    assert labeled_steps_stacked(parse_star_expr("0*")) == frozenset()
 
 
 def test_labeled_steps_of_E1(e_expr):
-    E1 = SStack(Plain(parse_star_expr("a*.b*")), e_expr)
+    E1 = SStack(parse_star_expr("a*.b*"), e_expr)
     by_label = {(label, m) for label, m, _ in labeled_steps_stacked(E1)}
     assert by_label == {(EMPTY, 0), ("a", 1), ("b", 0)}
 
@@ -161,9 +179,9 @@ def test_state_explosion_cap(monkeypatch):
 def test_normed_plus_iff_step_to_normed(e_expr, f_expr):
     """normed+ holds exactly when some step reaches a normed expression, and
     the stored measures agree with the fixpoints."""
-    for root in (Plain(e_expr), Plain(f_expr)):
+    for root in (e_expr, f_expr):
         oracle = normedness(root)
-        _, exprs = semantics.onechart_of_with_exprs(root.expr)
+        _, exprs = semantics.onechart_of_with_exprs(root)
         assert set(exprs.values()) == set(oracle)
         for E in exprs.values():
             viastep = any(oracle[G][0] for _, G in steps_stacked(E))
@@ -195,5 +213,5 @@ def expr_of(codes):
 def test_stored_normedness_matches_fixpoint(codes):
     """Every state of a random expression's 1-chart carries the normed and
     normed+ measures that the fixpoint oracle computes."""
-    for E, expected in normedness(Plain(expr_of(codes))).items():
+    for E, expected in normedness(expr_of(codes)).items():
         assert (E.normed, E.normed_plus) == expected

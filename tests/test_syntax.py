@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopchart.syntax import (
-    Act, One, ParseError, Plain, Prod, SProd, SStack, Star, Sum, Zero,
+    Act, One, ParseError, Prod, SProd, SStack, Star, Sum, Zero,
     actions_of, parse_star_expr, project, render, sprod,
 )
 
@@ -51,9 +51,11 @@ def test_parse_error_junk():
 
 
 def test_render_examples():
-    assert render(Plain(Star(Act("a")))) == "a*"
-    assert render(SStack(Plain(One()), Star(Act("a")))) == "1 @ a*"
-    assert render(Plain(Sum(Act("a"), Prod(Act("b"), Act("c"))))) == "a + b.c"
+    assert render(Star(Act("a"))) == "a*"
+    assert render(SStack(One(), Star(Act("a")))) == "1 @ a*"
+    assert render(Sum(Act("a"), Prod(Act("b"), Act("c")))) == "a + b.c"
+    assert render(SStack(Sum(Act("a"), One()), Star(Act("a")))) == "(a + 1) @ a*"
+    assert render(SStack(Prod(Act("a"), One()), Star(Act("a")))) == "a.1 @ a*"
 
 
 # random expression trees for round-trip testing
@@ -78,32 +80,46 @@ def test_star_height():
     assert parse_star_expr("(a*.b*)*").star_height == 2
     assert parse_star_expr("a.b + c").star_height == 0
     # stacked clauses take the max of the components
-    stacked = SStack(Plain(parse_star_expr("1.a*")), Star(Act("a")))
+    stacked = SStack(parse_star_expr("1.a*"), Star(Act("a")))
     assert stacked.star_height == 1
 
 
 def test_project():
     e = parse_star_expr("(a*.b*)*")
-    assert project(Plain(e)) == e
-    assert project(SStack(Plain(Star(Act("b"))), e)) == Prod(Star(Act("b")), e)
-    sink = sprod(SStack(Plain(parse_star_expr("1.0")), parse_star_expr("b0*")),
+    assert project(e) is e
+    assert project(SStack(Star(Act("b")), e)) == Prod(Star(Act("b")), e)
+    sink = sprod(SStack(parse_star_expr("1.0"), parse_star_expr("b0*")),
                  Zero())
     assert project(sink) == parse_star_expr("((1.0).b0*).0")
+    with pytest.raises(TypeError):
+        project("a")
+
+
+def test_project_deep_terms_without_recursion():
+    a_star = Star(Act("a"))
+    stacked, chain = Act("b"), Act("b")
+    for i in range(5000):
+        if i % 2:
+            stacked = SStack(stacked, a_star)
+        else:
+            stacked = sprod(stacked, Act("c"))
+        chain = Prod(chain, a_star if i % 2 else Act("c"))
+    assert project(stacked) is chain
 
 
 def test_sprod_collapses_plain_heads():
-    assert sprod(Plain(Act("a")), Act("b")) == Plain(Prod(Act("a"), Act("b")))
-    stack = SStack(Plain(One()), Star(Act("a")))
+    assert sprod(Act("a"), Act("b")) is Prod(Act("a"), Act("b"))
+    stack = SStack(One(), Star(Act("a")))
     assert isinstance(sprod(stack, Zero()), SProd)
 
 
 def test_nodes_are_interned():
     assert parse_star_expr("a + b") is Sum(Act("a"), Act("b"))
-    assert Plain(Star(Act("a"))) is Plain(parse_star_expr("a*"))
+    assert SStack(One(), Star(Act("a"))) is SStack(One(), parse_star_expr("a*"))
     assert Zero() is Zero() and Zero() is not One()
     e = parse_star_expr("(a*.b*)*")
     assert pickle.loads(pickle.dumps(e)) is e
-    assert copy.deepcopy(SStack(Plain(e), e)) is SStack(Plain(e), e)
+    assert copy.deepcopy(SStack(e, e)) is SStack(e, e)
 
 
 def test_hash_is_the_hash_of_the_fields():
@@ -111,7 +127,7 @@ def test_hash_is_the_hash_of_the_fields():
     assert hash(Sum(x, y)) == hash((x, y))
     assert hash(x) == hash(("a",))
     assert hash(Zero()) == hash(())
-    assert hash(SStack(Plain(x), y)) == hash((Plain(x), y))
+    assert hash(SStack(x, y)) == hash((x, y))
 
 
 def test_nodes_are_immutable():
@@ -128,16 +144,16 @@ def test_nodes_are_immutable():
 def test_constructors_reject_invalid_fields():
     with pytest.raises(ValueError, match="invalid action name"):
         Act("1")
-    with pytest.raises(ValueError, match="SProd over a Plain head"):
-        SProd(Plain(Act("a")), Act("b"))
+    with pytest.raises(ValueError, match="SProd over a plain head"):
+        SProd(Act("a"), Act("b"))
     with pytest.raises(ValueError, match="SStack tail must be a Star"):
-        SStack(Plain(One()), Act("a"))
+        SStack(One(), Act("a"))
 
 
 def test_repr_names_the_fields():
     assert repr(Sum(Act("a"), Zero())) == "Sum(left=Act(name='a'), right=Zero())"
-    assert repr(SStack(Plain(One()), Star(Act("a")))) == (
-        "SStack(head=Plain(expr=One()), tail=Star(body=Act(name='a')))")
+    assert repr(SStack(One(), Star(Act("a")))) == (
+        "SStack(head=One(), tail=Star(body=Act(name='a')))")
 
 
 def test_parse_and_render_deep_terms_without_recursion():
