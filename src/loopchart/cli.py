@@ -110,6 +110,12 @@ def enumerate_exprs(alphabet: Sequence[str], max_size: int) -> Iterator[StarExpr
 def sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
                  seed: int) -> list[StarExpr]:
     """`count` seeded random expressions with size uniform in 1..max_size."""
+    return list(iter_sample_exprs(alphabet, count, max_size, seed))
+
+
+def iter_sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
+                      seed: int) -> Iterator[StarExpr]:
+    """The expressions of `sample_exprs`, drawn one at a time."""
     rng = random.Random(seed)
     atoms = [Zero(), One()] + [Act(a) for a in sorted(alphabet)]
 
@@ -124,7 +130,8 @@ def sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
         left, right = gen(left_size), gen(size - 1 - left_size)
         return Sum(left, right) if op == "sum" else Prod(left, right)
 
-    return [gen(rng.randint(1, max_size)) for _ in range(count)]
+    for _ in range(count):
+        yield gen(rng.randint(1, max_size))
 
 
 DEFAULT_ALPHABET = ("a", "b")
@@ -134,14 +141,20 @@ DEFAULT_RANDOM_MAX_SIZE = 12
 DEFAULT_SEED = 1729
 
 
-def default_corpus(alphabet: Sequence[str] = DEFAULT_ALPHABET,
-                   max_size: int = DEFAULT_MAX_SIZE,
-                   random_count: int = DEFAULT_RANDOM_COUNT,
-                   random_max_size: int = DEFAULT_RANDOM_MAX_SIZE,
-                   seed: int = DEFAULT_SEED) -> list[StarExpr]:
-    corpus = list(enumerate_exprs(alphabet, max_size))
-    corpus.extend(sample_exprs(alphabet, random_count, random_max_size, seed))
-    return corpus
+def corpus_exprs(alphabet: Sequence[str] = DEFAULT_ALPHABET,
+                 max_size: int = DEFAULT_MAX_SIZE,
+                 random_count: int = DEFAULT_RANDOM_COUNT,
+                 random_max_size: int = DEFAULT_RANDOM_MAX_SIZE,
+                 seed: int = DEFAULT_SEED) -> Iterator[StarExpr]:
+    """The corpus one expression at a time: every expression up to
+    max_size, then the random draws."""
+    yield from enumerate_exprs(alphabet, max_size)
+    yield from iter_sample_exprs(alphabet, random_count, random_max_size, seed)
+
+
+def default_corpus(*args, **kwargs) -> list[StarExpr]:
+    """The corpus of `corpus_exprs` as a list."""
+    return list(corpus_exprs(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +332,10 @@ def run_cli(argv: Sequence[str]) -> int:
             if problem is not None:
                 print(f"usage error: {problem}", file=sys.stderr)
                 return 2
-            corpus = default_corpus(alphabet, args.max_size, args.random,
-                                    args.random_max_size, args.seed)
-            failures = 0
-            for e in corpus:
+            count = failures = 0
+            for e in corpus_exprs(alphabet, args.max_size, args.random,
+                                  args.random_max_size, args.seed):
+                count += 1
                 for report in _verify_reports(e, args.property):
                     if not report.passed:
                         failures += 1
@@ -330,9 +343,9 @@ def run_cli(argv: Sequence[str]) -> int:
                             print(report.to_json())
                         else:
                             print(f"fail {report.property}: {report.expression}")
-            summary = {"expressions": len(corpus), "failures": failures}
+            summary = {"expressions": count, "failures": failures}
             print(json.dumps(summary) if fmt == "json"
-                  else f"corpus: {len(corpus)} expressions, {failures} failures")
+                  else f"corpus: {count} expressions, {failures} failures")
             return 0 if failures == 0 else 1
     except tuple(_EXIT_2) as err:
         line = next(text for cls, text in _EXIT_2.items() if isinstance(err, cls))

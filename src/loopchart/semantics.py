@@ -24,7 +24,14 @@ the slots of exactly the nodes a rule reads, dependencies first, so no rule
 recurses and nesting depth is unbounded.
 
 Interpretation builders close an expression under the respective steps into
-a finite chart (breadth-first, dense vertex ids in discovery order).
+a finite chart (breadth-first, dense vertex ids in discovery order).  The
+closures of the most recent expression are kept, one under the plain steps
+and one under the marked steps, until another expression is closed: the
+1-chart and the labeled 1-chart are one closure, and the P1 and P2 checks
+of one expression close it twice between them.  The charts and mappings
+the builders return are shared with every caller for the same
+expression: do not modify them.  Only the most recent expression is held,
+so an expression's nodes die once the next one is closed.
 """
 
 from __future__ import annotations
@@ -263,12 +270,31 @@ def _close(start, step_fn, alphabet):
     return chart, dict(enumerate(order)), middles
 
 
+# the most recent expression closed and its closures, by step rule
+_recent: tuple = (None, {})
+
+
+def _closure(e: StarExpr, step_fn):
+    """`_close(e, step_fn, ...)`, kept until another expression is closed."""
+    global _recent
+    expr, closures = _recent
+    if expr is not e:
+        closures = {}
+        _recent = (e, closures)
+    closure = closures.get(step_fn)
+    if closure is None:
+        closure = closures[step_fn] = _close(e, step_fn, actions_of(e))
+    return closure
+
+
 def chart_of(e: StarExpr) -> Chart:
     return chart_of_with_exprs(e)[0]
 
 
 def chart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StarExpr]]:
-    return _close(e, steps_star, actions_of(e))[:2]
+    """The chart interpretation of `e` and each vertex's expression.  Both
+    are shared with the other callers for `e`: do not modify them."""
+    return _closure(e, steps_star)[:2]
 
 
 def onechart_of(e: StarExpr) -> Chart:
@@ -276,7 +302,9 @@ def onechart_of(e: StarExpr) -> Chart:
 
 
 def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, Stacked]]:
-    return _close(e, labeled_steps_stacked, actions_of(e))[:2]
+    """The 1-chart interpretation of `e` (the chart of the labeled one) and
+    each vertex's stacked expression; shared: do not modify them."""
+    return _closure(e, labeled_steps_stacked)[:2]
 
 
 def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
@@ -285,5 +313,8 @@ def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
 
 def labeled_onechart_of_with_exprs(
         e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, Stacked]]:
-    chart, exprs, middles = _close(e, labeled_steps_stacked, actions_of(e))
+    """The marked 1-chart interpretation of `e` and each vertex's stacked
+    expression.  The chart and the expressions are shared: do not modify
+    them."""
+    chart, exprs, middles = _closure(e, labeled_steps_stacked)
     return EntryBodyLabeling(chart, {t: m for t, (m,) in middles.items()}), exprs

@@ -19,6 +19,7 @@ collapse.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Iterator, Optional, Union
 
 
@@ -41,14 +42,21 @@ _SLOTS = ("_hash", "_text", "_steps", "_marked")
 class _Node:
     """An immutable, hash-consed syntax node.
 
-    Constructing a node looks its field tuple up in a per-class table and
+    Constructing a node looks its fields up in a per-class table and
     returns the node already built for those fields, so structurally equal
     nodes are the same object and equality is identity.  The hash is
     ``hash(fields)``, computed once from the children's stored hashes: the
     value a frozen dataclass with these fields would have, so the iteration
     order of sets and dicts of nodes does not depend on how nodes are built.
-    Tables are never cleared: every node ever built lives for the whole
-    process.
+
+    A node lives while something references it, and no longer: the table
+    is keyed by the identities of the children (``(id(left), id(right))``,
+    ``id(body)``) or by the action name, and holds each node through a weak
+    reference, whose callback removes the entry once the node dies.  A
+    live node holds its children, so their ids are not reused while its
+    entry is alive.  Keying by the children themselves would keep them
+    alive, and through the step slots (``e*`` steps to ``Prod(e1, e*)``)
+    every node built from them.
 
     Each node also stores four measures, which its class's ``_derive``
     computes from the fields' stored measures (after rejecting invalid
@@ -60,13 +68,22 @@ class _Node:
     two computed by ``semantics``, start empty; `bottom_up` fills them.
     """
 
-    __slots__ = _SLOTS + _MEASURES
+    __slots__ = _SLOTS + _MEASURES + ("__weakref__",)
     _fields: tuple[str, ...] = ()
     _table: dict
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("__slots__", ())
-        cls._table = {}
+        # the slots' own setters, which skip object.__setattr__'s checks
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls._fields + _MEASURES + _SLOTS)
+        table = cls._table = {}
+
+        def forget(ref: _Entry) -> None:
+            # a node built since may hold the key already
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+        cls._forget = staticmethod(forget)
 
     def __hash__(self) -> int:
         return self._hash
@@ -90,26 +107,35 @@ def bottom_up(node: _Node, slot: str, deps, compute):
     node n it reaches with an empty slot, the empty slots of the nodes
     `deps(n)` lists are filled first, left to right, then n's is set to
     `compute(n)`, which reads only those slots."""
+    store = getattr(_Node, slot).__set__
     stack = [(node, False)]
     while stack:
         top, ready = stack.pop()
         if ready:
-            object.__setattr__(top, slot, compute(top))
+            store(top, compute(top))
         elif getattr(top, slot) is None:
             stack.append((top, True))
             stack.extend([(d, False) for d in reversed(deps(top)) if getattr(d, slot) is None])
     return getattr(node, slot)
 
 
-def _intern(cls, fields: tuple):
-    node = cls._table.get(fields)
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to a node, and its key."""
+    __slots__ = ("key",)
+
+
+def _intern(cls, key, fields: tuple):
+    entry = cls._table.get(key)
+    node = None if entry is None else entry()
     if node is None:
         measures = cls._derive(*fields)
         node = object.__new__(cls)
-        for name, value in zip(cls._fields + _MEASURES + _SLOTS,
-                               fields + measures + (hash(fields), None, None, None)):
-            object.__setattr__(node, name, value)
-        node = cls._table.setdefault(fields, node)
+        for setter, value in zip(cls._setters,
+                                 fields + measures + (hash(fields), None, None, None)):
+            setter(node, value)
+        entry = _Entry(node, cls._forget)
+        entry.key = key
+        cls._table[key] = entry
     return node
 
 
@@ -133,7 +159,7 @@ class Zero(StarExpr):
     _derive = staticmethod(lambda: (False, False, False, 0))
 
     def __new__(cls):
-        return _intern(cls, ())
+        return _intern(cls, (), ())
 
 
 class One(StarExpr):
@@ -141,14 +167,14 @@ class One(StarExpr):
     _derive = staticmethod(lambda: (True, True, False, 0))
 
     def __new__(cls):
-        return _intern(cls, ())
+        return _intern(cls, (), ())
 
 
 class Act(StarExpr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (name,))
+        return _intern(cls, name, (name,))
 
     @staticmethod
     def _derive(name):
@@ -162,7 +188,7 @@ class Sum(StarExpr):
     _level = _SUM
 
     def __new__(cls, left: StarExpr, right: StarExpr):
-        return _intern(cls, (left, right))
+        return _intern(cls, (id(left), id(right)), (left, right))
 
     @staticmethod
     def _derive(left, right):
@@ -176,7 +202,7 @@ class Prod(StarExpr):
     _level = _PROD
 
     def __new__(cls, left: StarExpr, right: StarExpr):
-        return _intern(cls, (left, right))
+        return _intern(cls, (id(left), id(right)), (left, right))
 
     @staticmethod
     def _derive(left, right):
@@ -191,7 +217,7 @@ class Star(StarExpr):
     _level = _STAR
 
     def __new__(cls, body: StarExpr):
-        return _intern(cls, (body,))
+        return _intern(cls, id(body), (body,))
 
     @staticmethod
     def _derive(body):
@@ -217,7 +243,7 @@ class SProd(StackedExpr):
     __slots__ = ("head", "tail")
 
     def __new__(cls, head: Stacked, tail: StarExpr):
-        return _intern(cls, (head, tail))
+        return _intern(cls, (id(head), id(tail)), (head, tail))
 
     @staticmethod
     def _derive(head, tail):
@@ -232,7 +258,7 @@ class SStack(StackedExpr):
     __slots__ = ("head", "tail")
 
     def __new__(cls, head: Stacked, tail: Star):
-        return _intern(cls, (head, tail))
+        return _intern(cls, (id(head), id(tail)), (head, tail))
 
     @staticmethod
     def _derive(head, tail):
@@ -278,12 +304,13 @@ def actions_of(e: StarExpr) -> frozenset[str]:
 # rendering
 
 def _wrap(e: StarExpr, need: int) -> str:
-    """The cached text of `e`, parenthesized where it binds looser than `need`."""
-    return "(" + e._text + ")" if e._level < need else e._text
+    """The text of `e`, parenthesized where it binds looser than `need`."""
+    text = e._text or render(e)
+    return "(" + text + ")" if e._level < need else text
 
 
-def _text_of(node: _Node) -> str:
-    """Text of `node` from its children's cached texts."""
+def _text_of(node: StarExpr) -> str:
+    """Text of a plain node from its children's cached texts."""
     if isinstance(node, Zero):
         return "0"
     if isinstance(node, One):
@@ -296,17 +323,28 @@ def _text_of(node: _Node) -> str:
         return _wrap(node.left, _PROD) + "." + _wrap(node.right, _STAR)
     if isinstance(node, Star):
         return _wrap(node.body, _STAR) + "*"
-    if isinstance(node, SProd):
-        head = node.head._text
-        if isinstance(node.head, SStack):
-            head = "(" + head + ")"
-        return head + "." + _wrap(node.tail, _STAR)
-    if isinstance(node, SStack):
-        head = node.head._text
-        if isinstance(node.head, Sum):
-            head = "(" + head + ")"
-        return head + " @ " + _wrap(node.tail, _STAR)
     raise TypeError(node)
+
+
+def _stacked_text(node: StackedExpr) -> str:
+    """Text of a stacked node: its layers read down to a plain or cached
+    core, then joined once.  A parenthesized head is everything left of
+    its layer's token, so all opening parentheses come first."""
+    layers = []
+    while isinstance(node, StackedExpr) and node._text is None:
+        layers.append(node)
+        node = node.head
+    parts = [node._text or render(node)]
+    opened = 0
+    for layer in reversed(layers):
+        if isinstance(layer, SProd):
+            closed, token = isinstance(node, SStack), "."
+        else:
+            closed, token = isinstance(node, Sum), " @ "
+        opened += closed
+        parts.append((")" if closed else "") + token + _wrap(layer.tail, _STAR))
+        node = layer
+    return "(" * opened + "".join(parts)
 
 
 def _children(node: _Node) -> list[_Node]:
@@ -317,11 +355,18 @@ def _children(node: _Node) -> list[_Node]:
 def render(value: Stacked) -> str:
     """Parenthesization-minimal text; `@` is the stacked-star layer token.
 
-    Each node's text is computed once, by `bottom_up`, and cached on the
-    node."""
-    if not isinstance(value, _Node):
+    A plain node's text is computed once, by `bottom_up`, and cached on the
+    node.  A stacked node caches its text only when it is rendered itself,
+    not as the head of another: a 1-chart state of ``a`` under n stars has
+    n layers, and caching every layer's text would cost memory cubic in
+    n."""
+    if isinstance(value, StarExpr):
+        return value._text or bottom_up(value, "_text", _children, _text_of)
+    if not isinstance(value, StackedExpr):
         raise TypeError(value)
-    return value._text or bottom_up(value, "_text", _children, _text_of)
+    if value._text is None:
+        object.__setattr__(value, "_text", _stacked_text(value))
+    return value._text
 
 
 # ---------------------------------------------------------------------------

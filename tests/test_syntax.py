@@ -1,10 +1,11 @@
 """Parser, renderer, and the structural helpers on expressions."""
 
 import copy
+import gc
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loopchart.syntax import (
     Act, One, ParseError, Prod, SProd, SStack, Star, Sum, Zero,
@@ -120,6 +121,58 @@ def test_nodes_are_interned():
     e = parse_star_expr("(a*.b*)*")
     assert pickle.loads(pickle.dumps(e)) is e
     assert copy.deepcopy(SStack(e, e)) is SStack(e, e)
+
+
+# expression trees as plain data, so that hypothesis holds no node
+trees = st.recursive(
+    st.sampled_from(["0", "1", "a", "b"]),
+    lambda sub: st.one_of(st.tuples(st.sampled_from("+."), sub, sub),
+                          st.tuples(st.just("*"), sub)),
+    max_leaves=10)
+
+_BUILD = {"0": Zero, "1": One, "+": Sum, ".": Prod, "*": Star}
+
+
+def _build(tree):
+    if isinstance(tree, str):
+        return _BUILD[tree]() if tree in _BUILD else Act(tree)
+    return _BUILD[tree[0]](*map(_build, tree[1:]))
+
+
+def _tree_of(e):
+    if isinstance(e, Act):
+        return e.name
+    if isinstance(e, (Zero, One)):
+        return "0" if isinstance(e, Zero) else "1"
+    if isinstance(e, Star):
+        return ("*", _tree_of(e.body))
+    return ("+" if isinstance(e, Sum) else ".", _tree_of(e.left), _tree_of(e.right))
+
+
+def _check_interning(forest):
+    nodes = [_build(tree) for tree in forest]
+    assert [_tree_of(e) for e in nodes] == forest
+    assert all(_build(tree) is e for tree, e in zip(forest, nodes))
+    assert all(parse_star_expr(render(e)) is e for e in nodes)
+    x, y = nodes[0], nodes[-1]
+    assert Sum(x, y).left is x and Sum(x, y).right is y
+    assert Prod(y, x).left is y and Star(x).body is x
+    stacked = sprod(SStack(x, Star(y)), x)
+    assert stacked.head.head is x and stacked.head.tail.body is y
+    assert SProd(stacked, y).head is stacked
+    for e in (x, stacked):
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert copy.deepcopy(e) is e
+
+
+@settings(max_examples=50)
+@given(st.lists(trees, min_size=1, max_size=6))
+def test_nodes_rebuilt_after_collection_are_the_terms_asked_for(forest):
+    # the dropped nodes free their ids for the rebuilt ones, whose table
+    # keys are made of ids
+    _check_interning(forest)
+    gc.collect()
+    _check_interning(forest)
 
 
 def test_hash_is_the_hash_of_the_fields():
