@@ -187,25 +187,24 @@ def rooted_subchart(c: Chart, v: int) -> Chart:
 
 def has_infinite_path(c: Chart) -> bool:
     """True iff a cycle is reachable from the start (finite chart)."""
-    return _cycle(c, [c.start], c.vertices) is not None
+    return _cycle(c.out_index().get, [c.start], c.vertices) is not None
 
 
 def find_cycle(c: Chart, allowed: frozenset[int]) -> Optional[list[int]]:
     """Some cycle lying entirely within `allowed` vertices, as a vertex list."""
-    return _cycle(c, sorted(allowed), allowed)
+    return _cycle(c.out_index().get, sorted(allowed), allowed)
 
 
-def _cycle(c: Chart, roots, allowed) -> Optional[list[int]]:
+def _cycle(out, roots, allowed) -> Optional[list[int]]:
     """The first cycle through `allowed` vertices that a depth-first search
-    from `roots` meets, following transitions in sorted order."""
-    out = c.out_index().get
+    from `roots` meets, following transitions in the order `out` gives."""
     on_stack: dict[int, bool] = {}  # False once a vertex is finished
     parent: dict[int, int] = {}
     for root in roots:
         if root in on_stack:
             continue
         on_stack[root] = True
-        stack = [(root, iter(out(root, ())))]
+        stack = [(root, iter(out(root) or ()))]
         while stack:
             v, it = stack[-1]
             for _, _, w in it:
@@ -215,7 +214,7 @@ def _cycle(c: Chart, roots, allowed) -> Optional[list[int]]:
                 if state is None:
                     on_stack[w] = True
                     parent[w] = v
-                    stack.append((w, iter(out(w, ()))))
+                    stack.append((w, iter(out(w) or ())))
                     break
                 if state:
                     cycle = [v]

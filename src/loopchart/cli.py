@@ -294,7 +294,9 @@ def run_cli(argv: Sequence[str]) -> int:
                 print(json.dumps({
                     "holds": result.holds,
                     "trace": (json.loads(result.trace.to_json())
-                              if result.trace else None)}))
+                              if result.trace else None),
+                    "search": {name: getattr(result, name) for name in (
+                        "rounds", "vertex_passes", "eliminations", "fallbacks")}}))
             else:
                 print("LEE: holds" if result.holds else "LEE: fails")
             return 0 if result.holds else 1

@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import Optional
 
 from .charts import (
-    Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key,
-    doomed, find_cycle, has_infinite_path, reach, reachable,
+    Chart, EntryBodyLabeling, Transition, UnknownVertex, _cycle,
+    canonical_key, doomed, find_cycle, has_infinite_path, reach, reachable,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -213,6 +213,12 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     the first loop found.  `_innermost` tests a loop on the current chart,
     so each round eliminates only the loop it chooses.
 
+    A run edits one copy of the reachable chart's adjacency.  Each
+    elimination checks L1-L3 on its loop subchart, as `eliminate_loop`
+    does, drops the entries from v's list and finds the live vertices with
+    one `reach` from the start; no search meets the others again, since
+    every search starts at a live vertex.
+
     The budget bounds the search: each vertex pass costs one unit, and so
     does each loop elimination, with its loop-subchart check.  Exceeding it
     raises SearchBudgetExceeded.  The result counts the rounds, vertex
@@ -227,19 +233,22 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
             raise SearchBudgetExceeded(
                 f"more than {budget} vertex passes and loop eliminations")
 
-    current = reachable(c)
+    r = reachable(c)
+    index = {v: list(ts) for v, ts in r.out_index().items()}
+    out = index.get
+    live = r.vertices
     steps: list[EliminationStep] = []
-    while has_infinite_path(current):
+    while _cycle(out, [r.start], r.vertices) is not None:
         result.rounds += 1
         chosen: Optional[EliminationStep] = None
-        for v in sorted(current.vertices):
+        for v in sorted(live):
             spend()
             result.vertex_passes += 1
-            loop = _maximal_loop(current, v)
+            loop = _maximal_loop(out, r.terminating, v)
             if loop is None:
                 continue
             entry_set, body = loop
-            if _innermost(current, v, entry_set, body):
+            if _innermost(out, v, entry_set, body):
                 chosen = EliminationStep(v, entry_set)
                 break
             if chosen is None:
@@ -250,24 +259,29 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
             result.fallbacks += 1
         spend()
         result.eliminations += 1
-        current = eliminate_loop(current, chosen.vertex, chosen.entry_set)
+        v, entry_set = chosen.vertex, chosen.entry_set
+        report = check_loop_chart(_loop_subchart(r, v, entry_set, out))
+        if not report.ok:
+            raise NotALoopSubchart(report)
+        index[v] = [t for t in index[v] if t not in entry_set]
+        live = reach(out, [r.start])
         steps.append(chosen)
     result.holds = True
     result.trace = EliminationTrace(steps)
     return result
 
 
-def _maximal_loop(c: Chart, v: int
+def _maximal_loop(out, terminating: frozenset[int], v: int
                   ) -> Optional[tuple[frozenset[Transition], frozenset[int]]]:
     """The maximal entry set at v and its body, the vertex set of the
-    subchart it generates, or None when that set is no loop entry.
+    subchart it generates, or None when that set is no loop entry, in the
+    chart of transitions `out` and terminating vertices `terminating`.
 
     A transition (v, a, w) with w != v is admissible iff w reaches, without
     passing v, no cycle and no terminating vertex: one depth-first pass
     from v's targets finds the blocked vertices that do.  Linear in the
     size of the region v's transitions reach without passing v."""
-    out = c.out_index().get
-    blocked = doomed(out, [w for _, _, w in out(v) or ()], {v}, c.terminating)
+    blocked = doomed(out, [w for _, _, w in out(v) or ()], {v}, terminating)
     entries = frozenset(t for t in out(v) or () if t[2] not in blocked)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
     if v not in body:
@@ -275,15 +289,15 @@ def _maximal_loop(c: Chart, v: int
     return entries, body
 
 
-def _innermost(c: Chart, v: int, entries: frozenset[Transition],
+def _innermost(out, v: int, entries: frozenset[Transition],
                body: frozenset[int]) -> bool:
     """Whether no body vertex other than v lies on a cycle once the loop is
-    eliminated, read off c itself.  v stays reachable, since a path to its
-    first visit takes no entry; a cycle through another body vertex passes
-    v, since L2 rules out cycles avoiding v and the body is closed under
-    steps up to v.  So the loop is innermost iff no body vertex that v
-    reaches without an entry reaches v back."""
-    out = c.out_index().get
+    eliminated, read off the current chart's transitions `out`.  v stays
+    reachable, since a path to its first visit takes no entry; a cycle
+    through another body vertex passes v, since L2 rules out cycles
+    avoiding v and the body is closed under steps up to v.  So the loop is
+    innermost iff no body vertex that v reaches without an entry reaches v
+    back."""
     others = [t[2] for t in out(v) or () if t not in entries]
     met = [x for x in reach(out, others, {v}) if x != v and x in body]
     return v not in reach(out, met, {v})

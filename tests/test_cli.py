@@ -15,6 +15,7 @@ from loopchart.cli import (
     default_corpus, enumerate_exprs, run_cli, sample_exprs, verify_p1,
     verify_p2,
 )
+from loopchart.lee import decide_lee
 from loopchart.syntax import Act, One, Star, Zero, parse_star_expr, render
 
 from conftest import FIXTURES
@@ -82,6 +83,26 @@ def test_cli_lee_holds_on_g0(capsys):
     code = run_cli(["lee", "((1.a).(c.a + a.(b + b.a))*).0"])
     assert code == 0
     assert "LEE: holds" in capsys.readouterr().out
+
+
+def test_cli_lee_json_shows_the_search_counters(capsys):
+    text = "((1.a).(c.a + a.(b + b.a))*).0"
+    assert run_cli(["--format", "json", "lee", text]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["holds", "trace", "search"]
+    assert doc["holds"] and doc["trace"] == [
+        {"vertex": 1, "entries": [[1, "a", 2], [1, "c", 0]]}]
+    assert doc["search"] == {"rounds": 1, "vertex_passes": 2,
+                             "eliminations": 1, "fallbacks": 0}
+    assert run_cli(["--format", "json", "lee", "(a*.b*)*"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    result = decide_lee(semantics.chart_of(parse_star_expr("(a*.b*)*")))
+    assert doc == {"holds": False, "trace": None, "search": {
+        "rounds": result.rounds, "vertex_passes": result.vertex_passes,
+        "eliminations": result.eliminations, "fallbacks": result.fallbacks}}
+    # the text output carries no counters
+    assert run_cli(["lee", "(a*.b*)*"]) == 1
+    assert capsys.readouterr().out == "LEE: fails\n"
 
 
 def test_cli_verify_all(capsys):

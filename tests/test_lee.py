@@ -270,11 +270,40 @@ def innermost_by_definition(c, v, entries, body):
 @settings(max_examples=300, deadline=None)
 @given(small_charts(1, 8))
 def test_maximal_loop_matches_the_definition(c):
+    out = c.out_index().get
     for v in sorted(c.vertices):
-        assert _maximal_loop(c, v) == maximal_loop_by_definition(c, v)
+        assert _maximal_loop(out, c.terminating, v) == maximal_loop_by_definition(c, v)
     # decide_lee tests loops on charts whose every vertex is reachable
     r = reachable(c)
+    out = r.out_index().get
     for v in sorted(r.vertices):
-        loop = _maximal_loop(r, v)
+        loop = _maximal_loop(out, r.terminating, v)
         if loop is not None:
-            assert _innermost(r, v, *loop) == innermost_by_definition(r, v, *loop)
+            assert _innermost(out, v, *loop) == innermost_by_definition(r, v, *loop)
+
+
+def counters(result):
+    return [result.rounds, result.vertex_passes, result.eliminations, result.fallbacks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_charts())
+def test_decide_lee_spends_exactly_its_checks(c):
+    """The budget a run uses is `checks`: that budget suffices and gives the
+    same result, one unit less runs out."""
+    result = decide_lee(c)
+    if result.checks == 0:
+        return
+    assert decide_lee(c, budget=result.checks) == result
+    with pytest.raises(SearchBudgetExceeded):
+        decide_lee(c, budget=result.checks - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_charts())
+def test_decide_lee_ignores_the_unreachable_part(c):
+    result, restricted = decide_lee(c), decide_lee(reachable(c))
+    assert result.holds == restricted.holds
+    assert ((result.trace and result.trace.to_json())
+            == (restricted.trace and restricted.trace.to_json()))
+    assert counters(result) == counters(restricted)
