@@ -350,7 +350,8 @@ def from_json(text: str) -> Union[Chart, EntryBodyLabeling]:
         if not isinstance(entry, dict):
             raise SchemaError("expected an object", path)
         for end in ("from", "to"):
-            if entry.get(end) not in vertices:
+            vid = entry.get(end)
+            if not isinstance(vid, int) or isinstance(vid, bool) or vid not in vertices:
                 raise SchemaError("endpoint must be a declared vertex id", f"{path}/{end}")
         label = entry.get("label")
         if label == EMPTY:

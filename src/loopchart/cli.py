@@ -108,14 +108,9 @@ def enumerate_exprs(alphabet: Sequence[str], max_size: int) -> Iterator[StarExpr
 
 
 def sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
-                 seed: int) -> list[StarExpr]:
-    """`count` seeded random expressions with size uniform in 1..max_size."""
-    return list(iter_sample_exprs(alphabet, count, max_size, seed))
-
-
-def iter_sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
-                      seed: int) -> Iterator[StarExpr]:
-    """The expressions of `sample_exprs`, drawn one at a time."""
+                 seed: int) -> Iterator[StarExpr]:
+    """`count` seeded random expressions with size uniform in 1..max_size,
+    drawn one at a time."""
     rng = random.Random(seed)
     atoms = [Zero(), One()] + [Act(a) for a in sorted(alphabet)]
 
@@ -149,7 +144,7 @@ def corpus_exprs(alphabet: Sequence[str] = DEFAULT_ALPHABET,
     """The corpus one expression at a time: every expression up to
     max_size, then the random draws."""
     yield from enumerate_exprs(alphabet, max_size)
-    yield from iter_sample_exprs(alphabet, random_count, random_max_size, seed)
+    yield from sample_exprs(alphabet, random_count, random_max_size, seed)
 
 
 def default_corpus(*args, **kwargs) -> list[StarExpr]:

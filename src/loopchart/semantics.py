@@ -25,16 +25,18 @@ recurses and nesting depth is unbounded.
 
 Interpretation builders close an expression under the respective steps into
 a finite chart (breadth-first, dense vertex ids in discovery order).  The
-closures of the most recent expression are kept, one under the plain steps
-and one under the marked steps, until another expression is closed: the
-1-chart and the labeled 1-chart are one closure, and the P1 and P2 checks
-of one expression close it twice between them.  The charts and mappings
-the builders return are shared with every caller for the same
-expression: do not modify them.  Only the most recent expression is held,
-so an expression's nodes die once the next one is closed.
+two most recent closures are kept (``functools.lru_cache(maxsize=2)``): the
+1-chart and the labeled 1-chart are one closure, so an expression's chart
+and labeled 1-chart, the two closures the P1 and P2 checks read, are each
+built once.  The charts and mappings the builders return are shared with
+every caller for the same expression: do not modify them.  Once the next
+expression has been closed both ways, nothing holds the previous one, and
+its nodes die.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
@@ -270,21 +272,10 @@ def _close(start, step_fn, alphabet):
     return chart, dict(enumerate(order)), middles
 
 
-# the most recent expression closed and its closures, by step rule
-_recent: tuple = (None, {})
-
-
+@functools.lru_cache(maxsize=2)
 def _closure(e: StarExpr, step_fn):
-    """`_close(e, step_fn, ...)`, kept until another expression is closed."""
-    global _recent
-    expr, closures = _recent
-    if expr is not e:
-        closures = {}
-        _recent = (e, closures)
-    closure = closures.get(step_fn)
-    if closure is None:
-        closure = closures[step_fn] = _close(e, step_fn, actions_of(e))
-    return closure
+    """`_close(e, step_fn, ...)`, kept for the two most recent closings."""
+    return _close(e, step_fn, actions_of(e))
 
 
 def chart_of(e: StarExpr) -> Chart:

@@ -36,7 +36,7 @@ class ParseError(Exception):
 # interned nodes
 
 _MEASURES = ("terminates", "normed", "normed_plus", "star_height")
-_SLOTS = ("_hash", "_text", "_steps", "_marked")
+_SLOTS = ("_text", "_steps", "_marked")
 
 
 class _Node:
@@ -44,16 +44,17 @@ class _Node:
 
     Constructing a node looks its fields up in a per-class table and
     returns the node already built for those fields, so structurally equal
-    nodes are the same object and equality is identity.  The hash is
-    ``hash(fields)``, computed once from the children's stored hashes: the
-    value a frozen dataclass with these fields would have, so the iteration
-    order of sets and dicts of nodes does not depend on how nodes are built.
+    nodes are the same object: equality and the hash are identity.  Sets
+    and dicts of nodes therefore iterate in an order that depends on where
+    the nodes happen to live, so every order that reaches an output is
+    sorted, by rendered text or by vertex id.
 
     A node lives while something references it, and no longer: the table
-    is keyed by the identities of the children (``(id(left), id(right))``,
-    ``id(body)``) or by the action name, and holds each node through a weak
-    reference, whose callback removes the entry once the node dies.  A
-    live node holds its children, so their ids are not reused while its
+    is a `weakref.WeakValueDictionary` keyed by the identities of the
+    children (``(id(left), id(right))``, ``id(body)``) or by the action
+    name, and it drops an entry once its node dies (and only while the
+    entry is still dead, so a node built since under the same key stays).
+    A live node holds its children, so their ids are not reused while its
     entry is alive.  Keying by the children themselves would keep them
     alive, and through the step slots (``e*`` steps to ``Prod(e1, e*)``)
     every node built from them.
@@ -70,23 +71,14 @@ class _Node:
 
     __slots__ = _SLOTS + _MEASURES + ("__weakref__",)
     _fields: tuple[str, ...] = ()
-    _table: dict
+    _table: weakref.WeakValueDictionary
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("__slots__", ())
         # the slots' own setters, which skip object.__setattr__'s checks
         cls._setters = tuple(getattr(cls, name).__set__
                              for name in cls._fields + _MEASURES + _SLOTS)
-        table = cls._table = {}
-
-        def forget(ref: _Entry) -> None:
-            # a node built since may hold the key already
-            if table.get(ref.key) is ref:
-                del table[ref.key]
-        cls._forget = staticmethod(forget)
-
-    def __hash__(self) -> int:
-        return self._hash
+        cls._table = weakref.WeakValueDictionary()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,23 +111,14 @@ def bottom_up(node: _Node, slot: str, deps, compute):
     return getattr(node, slot)
 
 
-class _Entry(weakref.ref):
-    """An intern-table entry: a weak reference to a node, and its key."""
-    __slots__ = ("key",)
-
-
 def _intern(cls, key, fields: tuple):
-    entry = cls._table.get(key)
-    node = None if entry is None else entry()
+    node = cls._table.get(key)
     if node is None:
         measures = cls._derive(*fields)
         node = object.__new__(cls)
-        for setter, value in zip(cls._setters,
-                                 fields + measures + (hash(fields), None, None, None)):
+        for setter, value in zip(cls._setters, fields + measures + (None, None, None)):
             setter(node, value)
-        entry = _Entry(node, cls._forget)
-        entry.key = key
-        cls._table[key] = entry
+        cls._table[key] = node
     return node
 
 
@@ -149,9 +132,10 @@ _SUM, _PROD, _STAR, _ATOM = 0, 1, 2, 3
 class StarExpr(_Node):
     __slots__ = ()
     _level = _ATOM
-    # defined on each hierarchy, so that wrapping it (as the benchmark's
-    # tracer does to count hashing) covers exactly that hierarchy
-    __hash__ = _Node.__hash__
+    # the identity hash, defined on each hierarchy, so that wrapping it (as
+    # the benchmark's tracer does to count hashing) covers exactly that
+    # hierarchy
+    __hash__ = object.__hash__
 
 
 class Zero(StarExpr):
@@ -232,7 +216,7 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z]*[0-9]*")
 
 class StackedExpr(_Node):
     __slots__ = ()
-    __hash__ = _Node.__hash__
+    __hash__ = object.__hash__
 
 
 # a stacked star expression: a plain one or a stacked layer

@@ -106,6 +106,17 @@ def test_schema_error_paths():
             ' "vertices": [{"id": 0, "terminating": false}],'
             ' "transitions": [{"from": 0, "label": "b", "to": 0}]}')
     assert info.value.path == "/transitions/0/label"
+    # true == 1 and 1.0 == 1, but neither is a vertex id; a list is unhashable
+    for transition, path in (('{"from": 0, "label": "a", "to": true}', "/transitions/0/to"),
+                             ('{"from": 1.0, "label": "a", "to": 0}', "/transitions/0/from"),
+                             ('{"from": 0, "label": "a", "to": [1]}', "/transitions/0/to")):
+        with pytest.raises(SchemaError) as info:
+            from_json(
+                '{"alphabet": ["a"], "start": 0,'
+                ' "vertices": [{"id": 0, "terminating": false},'
+                ' {"id": 1, "terminating": true}],'
+                ' "transitions": [' + transition + ']}')
+        assert info.value.path == path
     with pytest.raises(SchemaError):
         from_json("not json at all")
 

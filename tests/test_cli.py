@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -57,8 +59,8 @@ def _size(e):
 
 
 def test_sampling_deterministic():
-    first = sample_exprs(["a", "b"], 50, 12, seed=7)
-    second = sample_exprs(["a", "b"], 50, 12, seed=7)
+    first = list(sample_exprs(["a", "b"], 50, 12, seed=7))
+    second = list(sample_exprs(["a", "b"], 50, 12, seed=7))
     assert first == second
     assert all(_size(e) <= 12 for e in first)
     assert len(default_corpus(random_count=5)) == 3736 + 5
@@ -244,6 +246,18 @@ def test_traced_benchmark_names_resolve():
                 assert hasattr(owner, name), f"loopchart.{module_name}.{attr}"
                 owner = getattr(owner, name)
             assert callable(owner)
+
+
+def test_readme_cli_lines_run():
+    """Every line of README's CLI block that names no chart file parses and
+    gets a verdict."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+        block = re.search(r"## CLI.*?```sh\n(.*?)```", handle.read(), re.S).group(1)
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    runnable = [argv for argv in lines if not any(arg.endswith(".json") for arg in argv)]
+    assert len(runnable) == 6
+    for argv in runnable:
+        assert run_cli(argv) in (0, 1), argv
 
 
 def test_cli_runs_as_module():

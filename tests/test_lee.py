@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import Chart, has_infinite_path, reach, reachable
-from loopchart.cli import enumerate_exprs, sample_exprs
+from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, NotALoopSubchart,
     SearchBudgetExceeded, TraceReplayError, _innermost, _maximal_loop,
@@ -13,7 +13,7 @@ from loopchart.lee import (
     loop_subchart_generated, recording_labeling, validate_llee,
     validate_llee_alt,
 )
-from loopchart.syntax import Act, parse_star_expr
+from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
 
 
 def trace(*steps):
@@ -108,7 +108,7 @@ def test_decide_lee_counts_its_search(chart_g0):
     assert result.eliminations == len(result.trace.steps)
     assert result.checks == result.vertex_passes + result.eliminations
     # a size-100 sample: a 12-vertex, 122-transition chart without LEE
-    c = semantics.chart_of(sample_exprs(["a", "b"], 1, 100, 10)[0])
+    c = semantics.chart_of(next(sample_exprs(["a", "b"], 1, 100, 10)))
     result = decide_lee(c)
     assert not result.holds and result.rounds >= 5
     # one pass per vertex and round, however many transitions it has
@@ -307,3 +307,35 @@ def test_decide_lee_ignores_the_unreachable_part(c):
     assert ((result.trace and result.trace.to_json())
             == (restricted.trace and restricted.trace.to_json()))
     assert counters(result) == counters(restricted)
+
+
+def _one_free_shape(e) -> bool:
+    """No `1`, and every star the left factor of a product: the shape of
+    1-free expressions, with `e*.f` read as the binary star `e⊛f`."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (One, Star)):
+            return False
+        if isinstance(node, Prod) and isinstance(node.left, Star):
+            stack += [node.left.body, node.right]
+        else:
+            stack += [getattr(node, name) for name in node._fields if name != "name"]
+    return True
+
+
+def test_the_papers_claims_hold_on_the_corpus():
+    plain_fails, one_free = [], 0
+    for e in corpus_exprs():
+        # the remedy: the 1-chart interpretation of every expression has LEE
+        assert decide_lee(semantics.onechart_of(e)).holds, render(e)
+        if not decide_lee(semantics.chart_of(e)).holds:
+            plain_fails.append(render(e))
+            # the chart interpretation of every 1-free expression has LEE
+            assert not _one_free_shape(e), render(e)
+        one_free += _one_free_shape(e)
+    assert one_free == 529
+    # the plain chart interpretation does not: the smallest examples
+    assert len(plain_fails) == 78
+    assert sorted(plain_fails, key=lambda text: (len(text), text))[:3] == [
+        "(a*.a*)*", "(a*.b*)*", "(a.a**)*"]

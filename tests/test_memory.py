@@ -13,6 +13,8 @@ import loopchart
 from loopchart import cli, semantics
 from loopchart.syntax import Act, One, Prod, SProd, SStack, Star, Sum, Zero, parse_star_expr
 
+from conftest import E_TEXT, F_TEXT, G0_TEXT
+
 CLASSES = (Zero, One, Act, Sum, Prod, Star, SProd, SStack)
 
 
@@ -20,13 +22,13 @@ def _live_nodes() -> int:
     """Nodes in the intern tables, after checking that no entry is dead."""
     gc.collect()
     for cls in CLASSES:
-        assert all(entry() is not None for entry in cls._table.values())
+        assert all(entry() is not None for entry in cls._table.valuerefs())
     return sum(len(cls._table) for cls in CLASSES)
 
 
 def _forget_recent() -> None:
-    """Make the interpretation memo hold 0, whose chart has one vertex."""
-    semantics.chart_of(Zero())
+    """Empty the interpretation memo."""
+    semantics._closure.cache_clear()
 
 
 def test_corpus_nodes_die_with_their_roots():
@@ -95,7 +97,7 @@ def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-texts = [render(e) for e in cli.iter_sample_exprs(["a", "b", "c"], 1500, 30, 7)]
+texts = [render(e) for e in cli.sample_exprs(["a", "b", "c"], 1500, 30, 7)]
 peaks = []
 for i, text in enumerate(texts, 1):
     e = parse_star_expr(text)
@@ -107,13 +109,53 @@ print(*peaks)
 """
 
 
+def _run(script: str, *args: str) -> str:
+    """The output of `script` run in a fresh interpreter, which holds no
+    node of this one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopchart.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+                          check=True)
+    return proc.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
 def test_memory_stays_flat_over_a_long_stream():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(loopchart.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", STREAM], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
-    at_500, at_1500 = map(int, proc.stdout.split())
+    at_500, at_1500 = map(int, _run(STREAM).split())
     # 1,000 more expressions add about 12 MB when every node lives on
     assert at_1500 - at_500 <= 3 * 1024
+
+
+# The chart, labeled 1-chart and collapse JSON of each expression given,
+# then again once every node has died and other nodes have taken the
+# memory the dead ones freed; prints whether the two agree.  Nodes hash by
+# identity, so the rebuilt sets of nodes may iterate in another order.
+REBUILD = """
+import gc, sys, weakref
+from loopchart import bisim, charts, cli, semantics
+from loopchart.syntax import parse_star_expr
+
+def outputs():
+    docs, roots = [], []
+    for text in sys.argv[1:]:
+        e = parse_star_expr(text)
+        docs += [charts.to_json(semantics.chart_of(e)),
+                 charts.to_json(semantics.labeled_onechart_of(e)),
+                 charts.to_json(bisim.collapse(semantics.chart_of(e))[0])]
+        roots.append(weakref.ref(e))
+    return docs, roots
+
+first, roots = outputs()
+semantics._closure.cache_clear()
+gc.collect()
+assert all(root() is None for root in roots)
+held = list(cli.sample_exprs(["a", "b", "c"], 300, 12, 3))
+second, _ = outputs()
+print(first == second)
+"""
+
+
+def test_outputs_do_not_depend_on_node_identity():
+    assert _run(REBUILD, G0_TEXT, E_TEXT, F_TEXT) == "True\n"

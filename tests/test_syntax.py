@@ -175,14 +175,6 @@ def test_nodes_rebuilt_after_collection_are_the_terms_asked_for(forest):
     _check_interning(forest)
 
 
-def test_hash_is_the_hash_of_the_fields():
-    x, y = Act("a"), Star(Act("b"))
-    assert hash(Sum(x, y)) == hash((x, y))
-    assert hash(x) == hash(("a",))
-    assert hash(Zero()) == hash(())
-    assert hash(SStack(x, y)) == hash((x, y))
-
-
 def test_nodes_are_immutable():
     e = Prod(Act("a"), Act("b"))
     with pytest.raises(AttributeError):
