@@ -12,12 +12,12 @@ import sys
 
 import pytest
 
-from loopchart import charts, semantics
+from loopchart import charts, cli, lee, semantics
 from loopchart.cli import (
-    default_corpus, enumerate_exprs, run_cli, sample_exprs, verify_p1,
-    verify_p2,
+    corpus_exprs, default_corpus, enumerate_exprs, run_cli, sample_exprs,
+    verify_p1, verify_p2,
 )
-from loopchart.lee import decide_lee
+from loopchart.lee import WitnessReport, decide_lee
 from loopchart.syntax import Act, One, Star, Zero, parse_star_expr, render
 
 from conftest import FIXTURES
@@ -64,6 +64,86 @@ def test_sampling_deterministic():
     assert first == second
     assert all(_size(e) <= 12 for e in first)
     assert len(default_corpus(random_count=5)) == 3736 + 5
+
+
+def test_a_repeated_action_is_enumerated_once(capsys):
+    assert list(enumerate_exprs(["a", "a"], 4)) == list(enumerate_exprs(["a"], 4))
+    assert len(list(enumerate_exprs(["a", "a"], 4))) == 84
+    assert (list(sample_exprs(["b", "a", "b"], 30, 8, seed=3))
+            == list(sample_exprs(["a", "b"], 30, 8, seed=3)))
+    outputs = []
+    for alphabet in ("a,a", "a"):
+        code = run_cli(["--format", "json", "corpus", "--alphabet", alphabet,
+                        "--max-size", "3", "--random", "5"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1].splitlines()[-1])["expressions"] == 27 + 5
+
+
+@pytest.fixture
+def fresh_p2_memo():
+    """An empty P2 memo, emptied again afterwards, so that verdicts of
+    patched validators do not outlive the test."""
+    cli._p2_memo.clear()
+    yield
+    cli._p2_memo.clear()
+
+
+def _count_validator_runs(monkeypatch) -> list:
+    runs = []
+    for name in ("validate_llee", "validate_llee_alt"):
+        def counting(labeling, validate=getattr(lee, name), name=name):
+            runs.append(name)
+            return validate(labeling)
+        monkeypatch.setattr(lee, name, counting)
+    return runs
+
+
+def test_p2_reports_do_not_depend_on_the_memo(fresh_p2_memo, monkeypatch):
+    exprs = list(corpus_exprs()) + list(sample_exprs(["a", "b", "c"], 200, 40, 7))
+    cold = []
+    for e in exprs:
+        cli._p2_memo.clear()
+        cold.append(verify_p2(e).to_json())
+    runs = _count_validator_runs(monkeypatch)
+    assert [verify_p2(e).to_json() for e in exprs] == cold
+    assert 0 < len(runs) < len(exprs)  # the warm pass hit the memo
+    assert len(cli._p2_memo) == cli.P2_MEMO_SIZE
+
+
+def test_p2_runs_the_validators_once_per_recent_structure(fresh_p2_memo, monkeypatch):
+    runs = _count_validator_runs(monkeypatch)
+    count = sum(verify_p2(e).passed for e in corpus_exprs())
+    # 4,236 expressions, 481 distinct marked 1-charts, 708 misses with the
+    # oldest of 128 verdicts evicted first
+    assert count == 4236
+    assert runs.count("validate_llee") == runs.count("validate_llee_alt") == 708
+
+
+def test_p2_failures_are_not_shared_through_the_memo(fresh_p2_memo, monkeypatch):
+    runs = []
+
+    def failing(labeling):
+        runs.append(labeling)
+        return WitnessReport(False, [{"condition": "W1", "cycle": [0, 1]}])
+    monkeypatch.setattr(lee, "validate_llee", failing)
+    e, f = parse_star_expr("a*"), parse_star_expr("(a + 0)*")
+    assert (cli._p2_key(semantics.labeled_onechart_of(e))
+            == cli._p2_key(semantics.labeled_onechart_of(f)))
+    first, second = verify_p2(e), verify_p2(f)
+    assert len(runs) == 1
+    assert not first.passed and not second.passed
+    assert first.failure == second.failure
+    assert first.failure is not second.failure
+    assert first.statistics == second.statistics
+    expected = json.loads(second.to_json())
+    first.failure["direct"][0]["cycle"].append(2)
+    first.failure["kind"] = "changed"
+    first.statistics["entries"] = -1
+    second.failure.clear()
+    third = verify_p2(e)
+    assert len(runs) == 1
+    assert json.loads(third.to_json()) == {**expected, "expression": "a*"}
 
 
 def test_verify_reports(e_expr):
