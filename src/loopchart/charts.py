@@ -177,14 +177,6 @@ def reachable(c: Chart) -> Chart:
     )
 
 
-def rooted_subchart(c: Chart, v: int) -> Chart:
-    """Re-root at v and restrict to what v generates."""
-    if v not in c.vertices:
-        raise UnknownVertex(v)
-    return reachable(Chart(c.alphabet, v, c.vertices, c.transitions,
-                           c.terminating, c.annotations))
-
-
 def has_infinite_path(c: Chart) -> bool:
     """True iff a cycle is reachable from the start (finite chart)."""
     return _cycle(c.out_index().get, [c.start], c.vertices) is not None
@@ -389,16 +381,17 @@ def _expect_list(doc: dict, key: str) -> list:
 # ---------------------------------------------------------------------------
 # DOT output
 
-def to_dot(obj: Union[Chart, EntryBodyLabeling], name: str = "chart") -> str:
+def to_dot(obj: Union[Chart, EntryBodyLabeling]) -> str:
     if isinstance(obj, EntryBodyLabeling):
         chart, marking = obj.chart, obj.marking
     else:
         chart, marking = obj, None
-    lines = [f"digraph {name} {{", "  rankdir=TB;",
+    lines = ["digraph chart {", "  rankdir=TB;",
              '  __start [shape=point, style=invis];']
     for v in sorted(chart.vertices):
         shape = "doublecircle" if v in chart.terminating else "circle"
-        label = chart.annotations.get(v, str(v)).replace('"', r'\"')
+        label = chart.annotations.get(v, str(v))
+        label = label.replace("\\", r"\\").replace('"', r'\"')
         lines.append(f'  v{v} [shape={shape}, label="{label}"];')
     lines.append(f"  __start -> v{chart.start};")
     for t in sorted(chart.transitions):

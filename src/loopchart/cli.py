@@ -125,21 +125,25 @@ def enumerate_exprs(alphabet: Sequence[str], max_size: int) -> Iterator[StarExpr
     deterministic order within a size."""
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
-    by_size: list[list[StarExpr]] = [[]]
     atoms: list[StarExpr] = [Zero(), One()] + [Act(a) for a in sorted(set(alphabet))]
-    for size in range(1, max_size + 1):
-        bucket: list[StarExpr] = []
-        if size == 1:
-            bucket.extend(atoms)
-        else:
-            bucket.extend(Star(e) for e in by_size[size - 1])
-            for op in (Sum, Prod):
-                for left_size in range(1, size - 1):
-                    for left in by_size[left_size]:
-                        for right in by_size[size - 1 - left_size]:
-                            bucket.append(op(left, right))
-        by_size.append(bucket)
-        yield from bucket
+    by_size: list[list[StarExpr]] = [[], atoms]
+
+    def of_size(size: int) -> Iterator[StarExpr]:
+        yield from map(Star, by_size[size - 1])
+        for op in (Sum, Prod):
+            for left_size in range(1, size - 1):
+                for left in by_size[left_size]:
+                    for right in by_size[size - 1 - left_size]:
+                        yield op(left, right)
+
+    yield from atoms
+    for size in range(2, max_size + 1):
+        exprs = of_size(size)
+        # the largest expressions are part of no other, so they are not kept
+        if size < max_size:
+            exprs = list(exprs)
+            by_size.append(exprs)
+        yield from exprs
 
 
 def sample_exprs(alphabet: Sequence[str], count: int, max_size: int,
@@ -193,8 +197,13 @@ def default_corpus(*args, **kwargs) -> list[StarExpr]:
 def _load_chart_arg(text: str) -> Union[Chart, EntryBodyLabeling]:
     """FILE (chart JSON) or EXPR; files let non-interpretable charts in."""
     if text.endswith(".json") or os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            return charts.from_json(handle.read())
+        with open(text, "rb") as handle:
+            data = handle.read()
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"invalid UTF-8: {err.reason} at byte {err.start}", "") from err
+        return charts.from_json(source)
     return semantics.chart_of(parse_star_expr(text))
 
 

@@ -93,9 +93,6 @@ class WitnessReport:
     valid: bool
     violations: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({"valid": self.valid, "violations": self.violations})
-
 
 # ---------------------------------------------------------------------------
 # loop charts
@@ -325,10 +322,11 @@ def exhaustive_lee(c: Chart) -> LeeResult:
             for size in range(len(outs), 0, -1):
                 for subset in combinations(outs, size):
                     entry_set = frozenset(subset)
-                    sub = loop_subchart_generated(current, v, entry_set)
-                    if not check_loop_chart(sub).ok:
+                    try:
+                        smaller = eliminate_loop(current, v, entry_set)
+                    except NotALoopSubchart:
                         continue
-                    rest = search(eliminate_loop(current, v, entry_set))
+                    rest = search(smaller)
                     if rest is not None:
                         return [EliminationStep(v, entry_set)] + rest
         failed.add(key)

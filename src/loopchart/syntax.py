@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class ParseError(Exception):
@@ -356,28 +356,11 @@ def render(value: Stacked) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z]+[0-9]*)|(?P<op>[01+.*()]))")
+# an identifier, an operator, or any other character, which is an error
+_TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern})|([01+.*()])|(\S))")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos,
-                             frozenset({"expression"}))
-        if m.group("ident") is not None:
-            yield "ident", m.group("ident"), m.start("ident")
-        else:
-            yield m.group("op"), m.group("op"), m.start("op")
-        pos = m.end()
-    yield "end", "", len(text)
-
-
-class _Parser:
+def parse_star_expr(text: str) -> StarExpr:
     """Precedence parser for
 
         expr     ::= prodterm ("+" prodterm)*
@@ -388,70 +371,61 @@ class _Parser:
     Sums and products associate to the left.  It runs without recursion:
     each open parenthesis pushes the enclosing expression's unfinished sum
     and product onto an explicit stack, so nesting depth is unbounded."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            raise ParseError(f"unexpected character {m[3]!r}", m.start(3),
+                             frozenset({"expression"}))
+        tokens.append(("ident" if group == 1 else m[2], m[group], m.start(group)))
+    tokens.append(("end", "", len(text)))
+    i = 0
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(_tokenize(text))
-        self.index = 0
-
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> None:
-        self.index += 1
-
-    def fail(self, expected: set[str]) -> None:
-        kind, value, offset = self.current
+    def fail(expected: set[str]):
+        kind, value, offset = tokens[i]
         what = "end of input" if kind == "end" else repr(value)
         raise ParseError(f"unexpected {what}", offset, frozenset(expected))
 
-    def parse_expr(self) -> StarExpr:
-        # the unfinished sum and product of each enclosing parenthesis
-        outer: list[tuple[Optional[StarExpr], Optional[StarExpr]]] = []
-        total: Optional[StarExpr] = None
-        product: Optional[StarExpr] = None
+    # the unfinished sum and product of each enclosing parenthesis
+    outer: list[tuple[Optional[StarExpr], Optional[StarExpr]]] = []
+    total: Optional[StarExpr] = None
+    product: Optional[StarExpr] = None
+    while True:
+        kind, value, _ = tokens[i]
+        if kind == "(":
+            i += 1
+            outer.append((total, product))
+            total = product = None
+            continue
+        if kind == "0":
+            term = Zero()
+        elif kind == "1":
+            term = One()
+        elif kind == "ident":
+            term = Act(value)
+        else:
+            fail({"0", "1", "identifier", "("})
+        i += 1
         while True:
-            kind, value, _ = self.current
-            if kind == "(":
-                self.advance()
-                outer.append((total, product))
-                total = product = None
-                continue
-            if kind == "0":
-                term = Zero()
-            elif kind == "1":
-                term = One()
-            elif kind == "ident":
-                term = Act(value)
-            else:
-                self.fail({"0", "1", "identifier", "("})
-            self.advance()
-            while True:
-                while self.current[0] == "*":
-                    self.advance()
-                    term = Star(term)
-                product = term if product is None else Prod(product, term)
-                if self.current[0] == ".":
-                    self.advance()
-                    break
-                total = product if total is None else Sum(total, product)
-                product = None
-                if self.current[0] == "+":
-                    self.advance()
-                    break
-                if not outer:
-                    return total
-                if self.current[0] != ")":
-                    self.fail({")"})
-                self.advance()
-                term = total
-                total, product = outer.pop()
-
-
-def parse_star_expr(text: str) -> StarExpr:
-    parser = _Parser(text)
-    e = parser.parse_expr()
-    if parser.current[0] != "end":
-        parser.fail({"+", ".", "*", "end of input"})
-    return e
+            while tokens[i][0] == "*":
+                i += 1
+                term = Star(term)
+            product = term if product is None else Prod(product, term)
+            kind = tokens[i][0]
+            if kind == ".":
+                i += 1
+                break
+            total = product if total is None else Sum(total, product)
+            product = None
+            if kind == "+":
+                i += 1
+                break
+            if not outer:
+                if kind != "end":
+                    fail({"+", ".", "*", "end of input"})
+                return total
+            if kind != ")":
+                fail({")"})
+            i += 1
+            term = total
+            total, product = outer.pop()

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.charts import (
-    EMPTY, Chart, EntryBodyLabeling, SchemaError, UnknownVertex, doomed,
+    EMPTY, Chart, EntryBodyLabeling, SchemaError, doomed,
     find_cycle, from_json, has_infinite_path, induced_of, reach, reachable,
-    rooted_subchart, to_dot, to_json,
+    to_dot, to_json,
 )
 from loopchart.syntax import Act, parse_star_expr
 
@@ -50,16 +50,6 @@ def test_reachable_drops_isolated_vertex(chart_g0):
                    chart_g0.terminating, dict(chart_g0.annotations))
     assert reachable(padded).vertices == chart_g0.vertices
     assert reachable(chart_g0) == chart_g0
-
-
-def test_rooted_subchart(chart_g0, chart_f):
-    assert len(rooted_subchart(chart_g0, 1).vertices) == 3
-    sink = next(v for v in chart_f.vertices if not chart_f.out(v))
-    sub = rooted_subchart(chart_f, sink)
-    assert sub.vertices == frozenset({sink})
-    assert not sub.transitions
-    with pytest.raises(UnknownVertex):
-        rooted_subchart(chart_g0, 17)
 
 
 def test_has_infinite_path(chart_g0):
@@ -128,6 +118,14 @@ def test_dot_output(e_expr):
     assert "style=dotted" in dot  # empty steps
     assert "[2]" in dot  # entry markings
     assert "doublecircle" in dot  # the terminating start vertex
+
+
+def test_dot_escapes_annotations():
+    chart = Chart(frozenset(), 0, frozenset({0, 1}), frozenset(), frozenset(),
+                  {0: "x\\", 1: 'say "hi"'})
+    dot = to_dot(chart)
+    assert r'label="x\\"]' in dot
+    assert r'label="say \"hi\""]' in dot
 
 
 def test_chart_invariants_hold_under_optimize():

@@ -1,6 +1,7 @@
 """Command-line behavior, exit codes, corpus enumeration, and the names the
 benchmark traces."""
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -48,6 +50,20 @@ def test_enumerate_counts_match_recurrence():
     assert per_size == {n: brute_count(2, n) for n in range(1, 7)}
     # frozen totals: 4, 4, 36, 100, 708, 2884
     assert [per_size[n] for n in range(1, 7)] == [4, 4, 36, 100, 708, 2884]
+
+
+def test_enumeration_keeps_no_largest_expression():
+    smaller = len(list(enumerate_exprs(["a"], 3)))
+    exprs = enumerate_exprs(["a"], 4)
+    for _ in range(smaller):
+        next(exprs)
+    largest = next(exprs)
+    assert _size(largest) == 4
+    ref = weakref.ref(largest)
+    del largest
+    next(exprs)
+    gc.collect()
+    assert ref() is None
 
 
 def _size(e):
@@ -287,6 +303,16 @@ def test_cli_corpus_usage_errors_exit_2(capsys, argv):
     assert run_cli(["corpus", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["lee", "{}"], ["collapse", "{}"],
+                                  ["llee-check", "{}"], ["bisim", "a", "{}"]])
+def test_cli_chart_file_not_utf8_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run_cli([arg.format(path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("error", [semantics.StateExplosion,

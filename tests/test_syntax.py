@@ -42,6 +42,31 @@ def test_parse_error_truncated():
     assert info.value.expected
 
 
+_ATOM = {"0", "1", "identifier", "("}
+_AFTER_TERM = {"+", ".", "*", "end of input"}
+
+
+@pytest.mark.parametrize("text, message, offset, expected", [
+    ("a ? b", "unexpected character '?' at offset 2 (expected: expression)",
+     2, {"expression"}),
+    ("a + ", "unexpected end of input at offset 4 (expected: (, 0, 1, identifier)",
+     4, _ATOM),
+    ("*", "unexpected '*' at offset 0 (expected: (, 0, 1, identifier)", 0, _ATOM),
+    ("a)", "unexpected ')' at offset 1 (expected: *, +, ., end of input)",
+     1, _AFTER_TERM),
+    ("(a", "unexpected end of input at offset 2 (expected: ))", 2, {")"}),
+    ("a b", "unexpected 'b' at offset 2 (expected: *, +, ., end of input)",
+     2, _AFTER_TERM),
+    ("", "unexpected end of input at offset 0 (expected: (, 0, 1, identifier)",
+     0, _ATOM),
+])
+def test_parse_error_sites(text, message, offset, expected):
+    with pytest.raises(ParseError) as info:
+        parse_star_expr(text)
+    assert (str(info.value), info.value.offset, info.value.expected) == (
+        message, offset, expected)
+
+
 def test_parse_error_junk():
     with pytest.raises(ParseError):
         parse_star_expr("nonsense(")
