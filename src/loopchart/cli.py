@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import random
@@ -65,54 +66,45 @@ def verify_p1(e: StarExpr) -> VerifyReport:
     return VerifyReport(render(e), "p1", True, stats)
 
 
-# P2's verdicts by the structure of the marked 1-chart, oldest first.  Both
-# validators start from `reachable(labeling.chart)` and read only its start,
-# transitions, terminating vertices and markings, and P2's statistics count
-# vertices, empty steps and entries, so `_p2_key` holds all that decides a
-# report.  The key is ints and label strings only: the memo keeps no node or
-# chart alive.
 P2_MEMO_SIZE = 128
-_p2_memo: dict[tuple, tuple[dict, Optional[dict]]] = {}
 
 
-def _p2_key(labeling: EntryBodyLabeling) -> tuple:
-    """The start, the vertex count, the terminating vertices after their
-    count, then each transition's source, label, target and marking, in
-    the marking's order."""
-    c = labeling.chart
-    key = [c.start, len(c.vertices), len(c.terminating), *sorted(c.terminating)]
-    for t, m in labeling.marking.items():
-        key += t
-        key.append(m)
-    return tuple(key)
+@functools.lru_cache(maxsize=P2_MEMO_SIZE)
+def _p2_verdict(start: int, size: int, terminating: tuple[int, ...],
+                marked: tuple) -> tuple[dict, Optional[dict]]:
+    """P2's statistics and failure for the marked 1-chart on vertices
+    0..size-1 (as `_close` numbers them) whose transitions are `marked`'s
+    source, label, target and marking, laid end to end.  The validators see
+    only the labeling rebuilt from these ints and label strings."""
+    it = iter(marked)
+    marking = {(v, label, w): m for v, label, w, m in zip(it, it, it, it)}
+    chart = Chart(frozenset(t[1] for t in marking) - {charts.EMPTY}, start,
+                  frozenset(range(size)), frozenset(marking), frozenset(terminating))
+    labeling = EntryBodyLabeling(chart, marking)
+    direct = lee.validate_llee(labeling)
+    alt = lee.validate_llee_alt(labeling)
+    stats = {"onechart_vertices": size, "one_transitions": len(chart.one_transitions),
+             "entries": len(lee.entries_of(labeling))}
+    failure = None
+    if not (direct.valid and alt.valid):
+        failure = {"kind": "witness-invalid",
+                   "direct": direct.violations, "alt": alt.violations}
+    return stats, failure
 
 
 def verify_p2(e: StarExpr) -> VerifyReport:
     """The marked 1-chart interpretation is a layered entry/body witness,
-    per both validators.  The verdicts of the last P2_MEMO_SIZE distinct
-    marked 1-charts are kept under `_p2_key`, so an expression whose marked
-    1-chart equals a recent one's runs neither validator.  Every report gets
-    its own statistics and failure."""
+    per both validators.  `_p2_verdict` keeps the verdicts of the
+    P2_MEMO_SIZE most recently used marked 1-charts, and its `cache_info()`
+    counts hits and misses.  Every report gets its own statistics and failure."""
     labeling = semantics.labeled_onechart_of(e)
-    key = _p2_key(labeling)
-    verdict = _p2_memo.get(key)
-    if verdict is None:
-        direct = lee.validate_llee(labeling)
-        alt = lee.validate_llee_alt(labeling)
-        stats = {
-            "onechart_vertices": len(labeling.chart.vertices),
-            "one_transitions": len(labeling.chart.one_transitions),
-            "entries": len(lee.entries_of(labeling)),
-        }
-        failure = None
-        if not (direct.valid and alt.valid):
-            failure = {"kind": "witness-invalid",
-                       "direct": direct.violations, "alt": alt.violations}
-        verdict = stats, failure
-        if len(_p2_memo) >= P2_MEMO_SIZE:
-            del _p2_memo[next(iter(_p2_memo))]
-        _p2_memo[key] = verdict
-    stats, failure = verdict
+    c = labeling.chart
+    marked = []
+    for t, m in labeling.marking.items():
+        marked += t
+        marked.append(m)
+    stats, failure = _p2_verdict(c.start, len(c.vertices),
+                                 tuple(sorted(c.terminating)), tuple(marked))
     return VerifyReport(render(e), "p2", failure is None, dict(stats),
                         copy.deepcopy(failure))
 

@@ -377,17 +377,14 @@ def validate_llee(labeling: EntryBodyLabeling) -> WitnessReport:
     marking = {t: m for t, m in labeling.marking.items() if t in c.transitions}
     violations = []
 
-    body = Chart(c.alphabet, c.start, c.vertices,
-                 frozenset(t for t, m in marking.items() if m == 0),
-                 c.terminating, {})
-    cycle = find_cycle(body, body.vertices)
+    body_steps = _body_out(c, marking).get
+    cycle = _cycle(body_steps, sorted(c.vertices), c.vertices)
     if cycle is not None:
         violations.append({"condition": "W1", "cycle": cycle,
                            "detail": "infinite body-step path"})
 
     # the structure generated by (v, level): a level entry from v, then body
     # transitions only, halting when v is revisited
-    body_steps = _body_out(c, marking).get
     for v, level in sorted({(t[0], m) for t, m in marking.items() if m >= 1}):
         entry_set = frozenset(t for t in c.out(v) if marking[t] == level)
         generated = _loop_subchart(c, v, entry_set, body_steps)
@@ -418,11 +415,7 @@ def validate_llee_alt(labeling: EntryBodyLabeling) -> WitnessReport:
     violations = []
 
     body_steps = _body_out(c, marking).get
-
-    body = Chart(c.alphabet, c.start, c.vertices,
-                 frozenset(t for t, m in marking.items() if m == 0),
-                 c.terminating, {})
-    if find_cycle(body, body.vertices) is not None:
+    if _cycle(body_steps, sorted(c.vertices), c.vertices) is not None:
         violations.append({"condition": "LLEE2",
                            "detail": "body steps do not terminate"})
 

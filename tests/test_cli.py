@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -15,6 +16,7 @@ import weakref
 import pytest
 
 from loopchart import charts, cli, lee, semantics
+from loopchart.charts import Chart, EntryBodyLabeling
 from loopchart.cli import (
     corpus_exprs, default_corpus, enumerate_exprs, run_cli, sample_exprs,
     verify_p1, verify_p2,
@@ -98,11 +100,11 @@ def test_a_repeated_action_is_enumerated_once(capsys):
 
 @pytest.fixture
 def fresh_p2_memo():
-    """An empty P2 memo, emptied again afterwards, so that verdicts of
+    """An empty P2 cache, emptied again afterwards, so that verdicts of
     patched validators do not outlive the test."""
-    cli._p2_memo.clear()
+    cli._p2_verdict.cache_clear()
     yield
-    cli._p2_memo.clear()
+    cli._p2_verdict.cache_clear()
 
 
 def _count_validator_runs(monkeypatch) -> list:
@@ -115,25 +117,87 @@ def _count_validator_runs(monkeypatch) -> list:
     return runs
 
 
+def _direct_p2_report(e) -> str:
+    """P2's report from both validators run on the expression's own marked
+    1-chart, with its alphabet and annotations, bypassing the cache."""
+    labeling = semantics.labeled_onechart_of(e)
+    direct, alt = lee.validate_llee(labeling), lee.validate_llee_alt(labeling)
+    stats = {"onechart_vertices": len(labeling.chart.vertices),
+             "one_transitions": len(labeling.chart.one_transitions),
+             "entries": len(lee.entries_of(labeling))}
+    failure = None
+    if not (direct.valid and alt.valid):
+        failure = {"kind": "witness-invalid",
+                   "direct": direct.violations, "alt": alt.violations}
+    return cli.VerifyReport(render(e), "p2", failure is None, stats, failure).to_json()
+
+
 def test_p2_reports_do_not_depend_on_the_memo(fresh_p2_memo, monkeypatch):
     exprs = list(corpus_exprs()) + list(sample_exprs(["a", "b", "c"], 200, 40, 7))
+    expected = [_direct_p2_report(e) for e in exprs]
     cold = []
     for e in exprs:
-        cli._p2_memo.clear()
+        cli._p2_verdict.cache_clear()
         cold.append(verify_p2(e).to_json())
+    assert cold == expected
     runs = _count_validator_runs(monkeypatch)
-    assert [verify_p2(e).to_json() for e in exprs] == cold
+    assert [verify_p2(e).to_json() for e in exprs] == expected
     assert 0 < len(runs) < len(exprs)  # the warm pass hit the memo
-    assert len(cli._p2_memo) == cli.P2_MEMO_SIZE
+    assert cli._p2_verdict.cache_info().currsize == cli.P2_MEMO_SIZE
+
+
+def test_p2_reports_equal_the_validators_on_rejected_labelings(fresh_p2_memo, monkeypatch):
+    """Seeded random markings and terminating vertices on charts numbered
+    0..n-1, as `_close` numbers them, most of which the validators reject:
+    through the cache, cold or warm, each report equals the one from the
+    validators run on the labeling itself."""
+    rng = random.Random(11)
+    labelings = []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        transitions = sorted({(rng.randrange(n), rng.choice("ab1"), rng.randrange(n))
+                              for _ in range(rng.randint(0, 3 * n))})
+        terminating = frozenset(v for v in range(n) if rng.random() < 0.3)
+        chart = Chart(frozenset("ab"), 0, frozenset(range(n)), frozenset(transitions),
+                      terminating)
+        labelings.append(EntryBodyLabeling(
+            chart, {t: rng.choice([0, 0, 1, 2]) for t in transitions}))
+    e = parse_star_expr("a")
+    passed = []
+    for labeling in labelings + labelings[-50:]:
+        monkeypatch.setattr(semantics, "labeled_onechart_of", lambda _: labeling)
+        report = verify_p2(e)
+        assert report.to_json() == _direct_p2_report(e)
+        passed.append(report.passed)
+    assert 0 < sum(passed) < len(passed) / 2
+    assert cli._p2_verdict.cache_info().hits >= 50
 
 
 def test_p2_runs_the_validators_once_per_recent_structure(fresh_p2_memo, monkeypatch):
     runs = _count_validator_runs(monkeypatch)
     count = sum(verify_p2(e).passed for e in corpus_exprs())
-    # 4,236 expressions, 481 distinct marked 1-charts, 708 misses with the
-    # oldest of 128 verdicts evicted first
+    # 4,236 expressions, 481 distinct marked 1-charts, 660 misses with the
+    # least recently used of 128 verdicts evicted first
     assert count == 4236
-    assert runs.count("validate_llee") == runs.count("validate_llee_alt") == 708
+    assert runs.count("validate_llee") == runs.count("validate_llee_alt") == 660
+    info = cli._p2_verdict.cache_info()
+    assert (info.hits, info.misses) == (4236 - 660, 660)
+
+
+def test_p2_shares_a_verdict_across_alphabets_and_annotations(fresh_p2_memo, monkeypatch):
+    """`(a + 0)*` and `(a + 0.b)*` have one marked 1-chart structure, but
+    different alphabets and annotations, which no validator reads."""
+    e, f = parse_star_expr("(a + 0)*"), parse_star_expr("(a + 0.b)*")
+    le, lf = semantics.labeled_onechart_of(e), semantics.labeled_onechart_of(f)
+    assert (le.chart.alphabet, lf.chart.alphabet) == ({"a"}, {"a", "b"})
+    assert le.chart.annotations != lf.chart.annotations
+    runs = _count_validator_runs(monkeypatch)
+    first, second = verify_p2(e), verify_p2(f)
+    assert runs == ["validate_llee", "validate_llee_alt"]
+    assert first.expression != second.expression
+    assert (json.loads(first.to_json()) | {"expression": ""}
+            == json.loads(second.to_json()) | {"expression": ""})
+    assert second.to_json() == _direct_p2_report(f)
 
 
 def test_p2_failures_are_not_shared_through_the_memo(fresh_p2_memo, monkeypatch):
@@ -144,8 +208,6 @@ def test_p2_failures_are_not_shared_through_the_memo(fresh_p2_memo, monkeypatch)
         return WitnessReport(False, [{"condition": "W1", "cycle": [0, 1]}])
     monkeypatch.setattr(lee, "validate_llee", failing)
     e, f = parse_star_expr("a*"), parse_star_expr("(a + 0)*")
-    assert (cli._p2_key(semantics.labeled_onechart_of(e))
-            == cli._p2_key(semantics.labeled_onechart_of(f)))
     first, second = verify_p2(e), verify_p2(f)
     assert len(runs) == 1
     assert not first.passed and not second.passed
@@ -364,6 +426,20 @@ def test_readme_cli_lines_run():
     assert len(runnable) == 6
     for argv in runnable:
         assert run_cli(argv) in (0, 1), argv
+
+
+def test_readme_api_references_resolve():
+    """Every backticked `module.name` reference in README, for the package's
+    modules, names an attribute path of that module."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+        refs = set(re.findall(r"`(syntax|semantics|charts|bisim|lee|cli)((?:\.\w+)+)",
+                              handle.read()))
+    assert len(refs) >= 12
+    for module_name, path in refs:
+        owner = importlib.import_module(f"loopchart.{module_name}")
+        for name in path[1:].split("."):
+            assert hasattr(owner, name), f"{module_name}{path}"
+            owner = getattr(owner, name)
 
 
 def test_cli_runs_as_module():

@@ -15,6 +15,8 @@ from loopchart.lee import (
 )
 from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
 
+from conftest import load_fixture
+
 
 def trace(*steps):
     return EliminationTrace(
@@ -240,6 +242,38 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
         (2, "b", 3), (3, "a", 3), (3, "b", 0), (4, "a", 0), (4, "a", 2),
         (4, "b", 0)}), frozenset())
     assert_agrees_with_oracle(c)
+
+
+# two charts where decide_lee holds, as exhaustive_lee does, but the
+# recording of its trace is not layered: the 1-chart of the expression is
+# rejected with W2+W3 / LLEE1+LLEE4, the 6-vertex chart with W3 / LLEE4, and
+# each run takes 2 fallback rounds
+UNLAYERED_CASES = {
+    "onechart": lambda: semantics.onechart_of(
+        parse_star_expr("(c* + (1*.b + a**.1*))*.0 + 0.b**")),
+    "six_vertices": lambda: load_fixture("unlayered_six.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))
+def test_decide_lee_is_right_where_its_recording_is_unlayered(case):
+    c = UNLAYERED_CASES[case]()
+    result = decide_lee(c)
+    assert result.holds and exhaustive_lee(c).holds
+    current = c
+    for step in result.trace.steps:
+        current = eliminate_loop(current, step.vertex, step.entry_set)
+    assert not has_infinite_path(current)
+
+
+@pytest.mark.xfail(strict=True, reason="decide_lee's recording is not always layered "
+                   "(ROADMAP item 1); the fix removes this marker")
+@pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))
+def test_decide_lee_records_a_layered_witness_on_the_counterexamples(case):
+    c = UNLAYERED_CASES[case]()
+    labeling = recording_labeling(c, decide_lee(c).trace)
+    assert validate_llee(labeling).valid
+    assert validate_llee_alt(labeling).valid
 
 
 def maximal_loop_by_definition(c, v):
