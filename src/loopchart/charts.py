@@ -123,14 +123,15 @@ def reach(steps, roots, stop=frozenset()) -> list:
     return order
 
 
-def doomed(steps, roots, stop, marked) -> set:
-    """The vertices `reach(steps, roots, stop)` visits that reach, without
-    passing a member of `stop`, a cycle or a `marked` vertex.  One
-    depth-first search: a vertex is doomed if it is marked, or if it has a
-    step to a vertex on the current search path or to a doomed vertex.  A
-    finished vertex's status is final: if it is not doomed, every vertex it
-    reaches is finished and not doomed.  Members of `stop` are never
-    expanded and never doomed."""
+def doomed(steps, roots, stop, marked):
+    """The set of vertices `reach(steps, roots, stop)` visits that reach,
+    without passing a member of `stop`, a cycle or a `marked` vertex, and a
+    set-like view of all the vertices it visits.  One depth-first search:
+    a vertex is doomed if it is marked, or if it has a step to a vertex on
+    the current search path or to a doomed vertex.  A finished vertex's
+    status is final: if it is not doomed, every vertex it reaches is
+    finished and not doomed.  Members of `stop` are never expanded and
+    never doomed."""
     found = set()
     on_path: dict = {}  # False once a vertex is finished
     for root in roots:
@@ -156,7 +157,7 @@ def doomed(steps, roots, stop, marked) -> set:
                     found.add(v)
                 if stack and v in found:
                     found.add(stack[-1][0])
-    return found
+    return found, on_path.keys()
 
 
 def reachable(c: Chart) -> Chart:

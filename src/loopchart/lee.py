@@ -11,7 +11,7 @@ from typing import Optional
 
 from .charts import (
     Chart, EntryBodyLabeling, Transition, UnknownVertex, _cycle,
-    canonical_key, doomed, find_cycle, has_infinite_path, reach, reachable,
+    canonical_key, doomed, has_infinite_path, reach, reachable,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -100,16 +100,24 @@ class WitnessReport:
 def check_loop_chart(c: Chart) -> LoopReport:
     """L1: some infinite path from the start; L2: every infinite path
     returns to the start; L3: termination only at the start."""
-    r = reachable(c)
+    return _loop_report(c.out_index().get, c.start, c.terminating)
+
+
+def _loop_report(steps, start: int, terminating: frozenset[int]) -> LoopReport:
+    """L1-L3 on the part from `start` of the chart whose transitions
+    `steps(v)` gives in sorted order, with terminating vertices
+    `terminating`."""
+    seen = set(reach(steps, [start]))
+    others = seen - {start}
     violations = []
-    if not has_infinite_path(r):
+    if _cycle(steps, [start], seen) is None:
         violations.append({"condition": "L1",
                            "detail": "no cycle reachable from the start"})
-    cycle = find_cycle(r, r.vertices - {r.start})
+    cycle = _cycle(steps, sorted(others), others)
     if cycle is not None:
         violations.append({"condition": "L2", "cycle": cycle,
                            "detail": "cycle avoiding the start vertex"})
-    for v in sorted(r.terminating - {r.start}):
+    for v in sorted(others & terminating):
         violations.append({"condition": "L3", "vertex": v,
                            "detail": "non-start vertex permits termination"})
     return LoopReport(not violations, violations)
@@ -203,24 +211,27 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     iff the greedy run ends without infinite paths, and LEE fails as soon
     as no vertex has a loop.
 
-    Each round scans the vertices in order and prefers an *innermost* loop:
-    one whose vertices other than v lie on no cycle of the chart after its
-    elimination.  No later step can then start at a vertex inside it, so
-    the recording of the trace stays layered.  Without one the round takes
-    the first loop found.  `_innermost` tests a loop on the current chart,
-    so each round eliminates only the loop it chooses.
+    Each round scans the live vertices in order and eliminates every
+    *innermost* loop it meets: one whose vertices other than v lie on no
+    cycle of the chart after its elimination, tested by `_innermost` on
+    the current transitions.  No later step can then start at a vertex
+    inside it, so the recording of the trace stays layered, and no later
+    pass visits those vertices: removing transitions creates no cycle.  A
+    scan that meets no innermost loop eliminates the first loop it met,
+    and a scan that meets no loop ends the run.
 
     A run edits one copy of the reachable chart's adjacency.  Each
-    elimination checks L1-L3 on its loop subchart, as `eliminate_loop`
-    does, drops the entries from v's list and finds the live vertices with
-    one `reach` from the start; no search meets the others again, since
-    every search starts at a live vertex.
+    elimination checks L1-L3 on it, with v's transitions cut down to the
+    entries, as `eliminate_loop` checks the loop subchart, and then drops
+    the entries from v's list.  Every vertex an innermost elimination cuts
+    off from the start lies in its body, so the live vertices are found
+    with one `reach` from the start per round.
 
     The budget bounds the search: each vertex pass costs one unit, and so
-    does each loop elimination, with its loop-subchart check.  Exceeding it
-    raises SearchBudgetExceeded.  The result counts the rounds, vertex
-    passes, eliminations (one per round, so one per trace step), the rounds
-    that fell back to a loop that is not innermost, and the budget used."""
+    does each loop elimination, with its check.  Exceeding it raises
+    SearchBudgetExceeded.  The result counts the rounds, vertex passes,
+    eliminations (one per trace step), the rounds that fell back to a loop
+    that is not innermost, and the budget used."""
     if budget is None:
         budget = _budget_default()
     result = LeeResult(False)
@@ -234,11 +245,28 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     index = {v: list(ts) for v, ts in r.out_index().items()}
     out = index.get
     live = r.vertices
+    retired: set[int] = set()
     steps: list[EliminationStep] = []
+
+    def eliminate(v: int, entry_set: frozenset[Transition]) -> None:
+        spend()
+        result.eliminations += 1
+        kept = index[v]
+        # with only the entries left at v, the part from v is the loop subchart
+        index[v] = [t for t in kept if t in entry_set]
+        report = _loop_report(out, v, r.terminating)
+        if not report.ok:
+            raise NotALoopSubchart(report)
+        index[v] = [t for t in kept if t not in entry_set]
+        steps.append(EliminationStep(v, entry_set))
+
     while _cycle(out, [r.start], r.vertices) is not None:
         result.rounds += 1
-        chosen: Optional[EliminationStep] = None
+        eliminated = result.eliminations
+        first = None
         for v in sorted(live):
+            if v in retired:
+                continue
             spend()
             result.vertex_passes += 1
             loop = _maximal_loop(out, r.terminating, v)
@@ -246,23 +274,16 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
                 continue
             entry_set, body = loop
             if _innermost(out, v, entry_set, body):
-                chosen = EliminationStep(v, entry_set)
-                break
-            if chosen is None:
-                chosen = EliminationStep(v, entry_set)
-        else:
-            if chosen is None:
+                eliminate(v, entry_set)
+                retired |= body - {v}
+            elif first is None:
+                first = v, entry_set
+        if result.eliminations == eliminated:
+            if first is None:
                 return result
             result.fallbacks += 1
-        spend()
-        result.eliminations += 1
-        v, entry_set = chosen.vertex, chosen.entry_set
-        report = check_loop_chart(_loop_subchart(r, v, entry_set, out))
-        if not report.ok:
-            raise NotALoopSubchart(report)
-        index[v] = [t for t in index[v] if t not in entry_set]
+            eliminate(*first)
         live = reach(out, [r.start])
-        steps.append(chosen)
     result.holds = True
     result.trace = EliminationTrace(steps)
     return result
@@ -276,9 +297,12 @@ def _maximal_loop(out, terminating: frozenset[int], v: int
 
     A transition (v, a, w) with w != v is admissible iff w reaches, without
     passing v, no cycle and no terminating vertex: one depth-first pass
-    from v's targets finds the blocked vertices that do.  Linear in the
-    size of the region v's transitions reach without passing v."""
-    blocked = doomed(out, [w for _, _, w in out(v) or ()], {v}, terminating)
+    from v's targets finds the blocked vertices that do.  If that pass
+    never meets v, v lies on no cycle and has no loop.  Linear in the size
+    of the region v's transitions reach without passing v."""
+    blocked, met = doomed(out, [w for _, _, w in out(v) or ()], {v}, terminating)
+    if v not in met:
+        return None
     entries = frozenset(t for t in out(v) or () if t[2] not in blocked)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
     if v not in body:

@@ -1,0 +1,98 @@
+"""The seeded LEE sweep: `decide_lee` on random charts and on the charts of
+random expressions, against `exhaustive_lee` where that search is small
+enough to run, with the layering of every "holds" recording checked.
+
+    PYTHONPATH=src python tests/lee_sweep.py
+
+It prints one JSON object: the number of inputs, of "holds" verdicts and of
+oracle runs, the inputs whose verdict differs from the oracle's, the inputs
+whose recording is not a layered witness, and a sha256 over every verdict in
+input order, so that two versions of the program can be compared.  pytest
+does not collect this file; `tests/test_lee.py` runs a slice of it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import random
+
+from loopchart import semantics, syntax
+from loopchart.charts import Chart
+from loopchart.cli import sample_exprs
+from loopchart.lee import (
+    decide_lee, exhaustive_lee, recording_labeling, validate_llee, validate_llee_alt,
+)
+
+RANDOM_CHARTS = 20_000
+RANDOM_EXPRS = 3_000
+LARGE = (400, 12, 2990400)  # exact size, count and seed of the large expressions
+
+
+def random_charts(count: int):
+    """(name, chart, run the oracle) for `count` charts of 1 to 7 vertices
+    from `random.Random(11)`; the oracle runs on at most 5 vertices and 10
+    transitions."""
+    rng = random.Random(11)
+    for i in range(count):
+        n = rng.randint(1, 7)
+        transitions = frozenset(
+            (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n)))
+        terminating = frozenset(v for v in range(n) if rng.random() < 0.2)
+        chart = Chart(frozenset("ab"), 0, frozenset(range(n)), transitions, terminating)
+        yield f"chart #{i}", chart, n <= 5 and len(transitions) <= 10
+
+
+def expression_charts(exprs):
+    """(name, chart, False) for the chart and the 1-chart of each expression."""
+    for e in exprs:
+        text = syntax.render(e)
+        yield text, semantics.chart_of(e), False
+        yield f"1-chart of {text}", semantics.onechart_of(e), False
+
+
+def large_exprs():
+    """The exact-size expressions drawn by the benchmark's generator."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    size, count, seed = LARGE
+    rng = random.Random(seed)
+    return [workloads.random_expr(syntax, rng, size, ("a", "b", "c")) for _ in range(count)]
+
+
+def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = True) -> dict:
+    """The counts over the first `charts` random charts and `exprs` random
+    expressions, and over the large expressions when `large` is set."""
+    inputs = [random_charts(charts),
+              expression_charts(sample_exprs(["a", "b", "c"], exprs, 40, 5))]
+    if large:
+        inputs.append(expression_charts(large_exprs()))
+    counts = {"inputs": 0, "holds": 0, "oracle_runs": 0,
+              "oracle_disagreements": [], "unlayered": []}
+    verdicts = hashlib.sha256()
+    for group in inputs:
+        for name, c, oracle in group:
+            result = decide_lee(c)
+            counts["inputs"] += 1
+            verdicts.update(b"1" if result.holds else b"0")
+            if oracle:
+                counts["oracle_runs"] += 1
+                if exhaustive_lee(c).holds != result.holds:
+                    counts["oracle_disagreements"].append(name)
+            if result.holds:
+                counts["holds"] += 1
+                labeling = recording_labeling(c, result.trace)
+                if not (validate_llee(labeling).valid and validate_llee_alt(labeling).valid):
+                    counts["unlayered"].append(name)
+    counts["verdicts_sha256"] = verdicts.hexdigest()
+    return counts
+
+
+if __name__ == "__main__":
+    print(json.dumps(sweep(), indent=1))

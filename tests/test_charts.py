@@ -247,6 +247,8 @@ def test_index_and_traversals_agree_with_naive_scans(c):
         for marked in (frozenset(), c.terminating):
             bad = {y for y in c.vertices if y not in stop and (
                 y in marked or y in reach(out, [w for _, _, w in c.out(y)], stop))}
-            assert doomed(out, roots, stop, marked) == {
+            found, visited = doomed(out, roots, stop, marked)
+            assert found == {
                 x for x in reach(out, roots, stop) if x not in stop
                 and not bad.isdisjoint(reach(out, [x], stop))}
+            assert visited == set(reach(out, roots, stop))

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopchart import bisim, semantics
-from loopchart.charts import Chart, has_infinite_path, reach, reachable
+from loopchart.charts import Chart, find_cycle, has_infinite_path, reach, reachable
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
-    EliminationStep, EliminationTrace, EmptyEntrySet, NotALoopSubchart,
-    SearchBudgetExceeded, TraceReplayError, _innermost, _maximal_loop,
-    check_loop_chart, decide_lee, eliminate_loop, entries_of, exhaustive_lee,
-    loop_subchart_generated, recording_labeling, validate_llee,
-    validate_llee_alt,
+    EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
+    NotALoopSubchart, SearchBudgetExceeded, TraceReplayError, _innermost,
+    _loop_report, _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
+    entries_of, exhaustive_lee, loop_subchart_generated, recording_labeling,
+    validate_llee, validate_llee_alt,
 )
 from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
 
+import lee_sweep
 from conftest import load_fixture
 
 
@@ -103,22 +104,36 @@ def test_decide_lee_budget(chart_f):
         decide_lee(chart_f, budget=1)
 
 
-def test_decide_lee_counts_its_search(chart_g0):
-    result = decide_lee(chart_g0)
-    assert result.rounds == len(result.trace.steps)
-    # only the loop each round chooses is eliminated
-    assert result.eliminations == len(result.trace.steps)
+def assert_counters_hold_together(result, c):
+    """Every round but the last eliminates a loop, one pass at most per
+    vertex and round, and the budget is the passes plus the eliminations."""
+    if result.holds:
+        assert result.eliminations == len(result.trace.steps)
+        assert result.eliminations >= result.rounds
+    else:
+        assert result.eliminations >= result.rounds - 1
+    assert result.fallbacks <= result.rounds
+    assert result.vertex_passes <= (result.rounds + 1) * len(c.vertices)
     assert result.checks == result.vertex_passes + result.eliminations
+
+
+def test_decide_lee_counts_its_search(chart_g0):
+    assert_counters_hold_together(decide_lee(chart_g0), chart_g0)
     # a size-100 sample: a 12-vertex, 122-transition chart without LEE
     c = semantics.chart_of(next(sample_exprs(["a", "b"], 1, 100, 10)))
     result = decide_lee(c)
-    assert not result.holds and result.rounds >= 5
-    # one pass per vertex and round, however many transitions it has
-    assert result.vertex_passes <= (result.rounds + 1) * len(c.vertices)
-    # the last round finds no loop
-    assert result.eliminations == result.rounds - 1
-    assert result.checks == result.vertex_passes + result.eliminations
-    assert result.fallbacks <= result.rounds
+    assert not result.holds
+    assert_counters_hold_together(result, c)
+
+
+def test_decide_lee_eliminates_every_innermost_loop_a_scan_meets():
+    """One scan of the chart of a*.b* eliminates both self-loops, in vertex
+    order."""
+    c = semantics.chart_of(parse_star_expr("a*.b*"))
+    result = decide_lee(c)
+    assert result.holds and result.rounds == 1 and result.fallbacks == 0
+    assert result.trace == trace((1, [(1, "a", 1)]), (2, [(2, "b", 2)]))
+    assert_counters_hold_together(result, c)
 
 
 def test_recording_labelings_of_g0(chart_g0):
@@ -244,10 +259,11 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
     assert_agrees_with_oracle(c)
 
 
-# two charts where decide_lee holds, as exhaustive_lee does, but the
-# recording of its trace is not layered: the 1-chart of the expression is
-# rejected with W2+W3 / LLEE1+LLEE4, the 6-vertex chart with W3 / LLEE4, and
-# each run takes 2 fallback rounds
+# two charts where decide_lee holds, as exhaustive_lee does: the recording of
+# the 6-vertex chart's trace is not layered (W3 / LLEE4, after a fallback
+# round); the 1-chart's was (W2+W3 / LLEE1+LLEE4) while each round
+# eliminated one loop, and is layered since a round eliminates every
+# innermost loop it meets
 UNLAYERED_CASES = {
     "onechart": lambda: semantics.onechart_of(
         parse_star_expr("(c* + (1*.b + a**.1*))*.0 + 0.b**")),
@@ -266,9 +282,12 @@ def test_decide_lee_is_right_where_its_recording_is_unlayered(case):
     assert not has_infinite_path(current)
 
 
-@pytest.mark.xfail(strict=True, reason="decide_lee's recording is not always layered "
-                   "(ROADMAP item 1); the fix removes this marker")
-@pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))
+@pytest.mark.parametrize("case", [
+    "onechart",
+    pytest.param("six_vertices", marks=pytest.mark.xfail(
+        strict=True, reason="decide_lee's recording is not always layered "
+        "(ROADMAP item 1); the fix removes this marker")),
+])
 def test_decide_lee_records_a_layered_witness_on_the_counterexamples(case):
     c = UNLAYERED_CASES[case]()
     labeling = recording_labeling(c, decide_lee(c).trace)
@@ -314,6 +333,53 @@ def test_maximal_loop_matches_the_definition(c):
         loop = _maximal_loop(out, r.terminating, v)
         if loop is not None:
             assert _innermost(out, v, *loop) == innermost_by_definition(r, v, *loop)
+
+
+def check_loop_chart_on_a_chart(c):
+    """L1-L3 read off the reachable chart with the chart-level traversals."""
+    r = reachable(c)
+    violations = []
+    if not has_infinite_path(r):
+        violations.append({"condition": "L1",
+                           "detail": "no cycle reachable from the start"})
+    cycle = find_cycle(r, r.vertices - {r.start})
+    if cycle is not None:
+        violations.append({"condition": "L2", "cycle": cycle,
+                           "detail": "cycle avoiding the start vertex"})
+    for v in sorted(r.terminating - {r.start}):
+        violations.append({"condition": "L3", "vertex": v,
+                           "detail": "non-start vertex permits termination"})
+    return LoopReport(not violations, violations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts(1, 8))
+def test_loop_report_on_the_adjacency_matches_the_chart(c):
+    """check_loop_chart reports what the chart-level check reports, and on
+    an adjacency whose steps at v are cut down to an entry set, the report
+    is the loop subchart's, as decide_lee reads it."""
+    assert check_loop_chart(c) == check_loop_chart_on_a_chart(c)
+    out = c.out_index().get
+    for v in sorted(c.vertices):
+        entry_sets = [frozenset({t}) for t in c.out(v)]
+        loop = _maximal_loop(out, c.terminating, v)
+        if loop is not None:
+            entry_sets.append(loop[0])
+        for entry_set in entry_sets:
+            entries = sorted(entry_set)
+            report = _loop_report(lambda x: entries if x == v else out(x), v,
+                                  c.terminating)
+            assert report == check_loop_chart(loop_subchart_generated(c, v, entry_set))
+
+
+def test_the_seeded_sweep_slice():
+    """The first 2,000 random charts and 300 random expressions of
+    tests/lee_sweep.py: every verdict is the oracle's, and one recording is
+    not layered."""
+    counts = lee_sweep.sweep(charts=2000, exprs=300, large=False)
+    assert counts["oracle_runs"] == 1344
+    assert counts["oracle_disagreements"] == []
+    assert counts["unlayered"] == ["1-chart of ((0*.(c*.b)**)*.(a.c.0))*"]
 
 
 def counters(result):
