@@ -88,8 +88,30 @@ def bisimilar(c1: Chart, c2: Chart) -> Optional[set[Pair]]:
 
 def check_functional_bisim(c1: Chart, c2: Chart,
                            f: dict[int, int]) -> BisimReport:
-    """Check that the graph of the (partial) map f is a bisimulation."""
-    return check_relation_bisim(c1, c2, set(f.items()))
+    """Check that the graph of the (partial) map f is a bisimulation: the
+    report `check_relation_bisim` gives on it, in time linear in the
+    transitions, since a step from u matches only a step to f's image."""
+    if not all(u in c1.vertices and v in c2.vertices for u, v in f.items()):
+        return check_relation_bisim(c1, c2, set(f.items()))  # raises alike
+    if f.get(c1.start) != c2.start:
+        return BisimReport(False, "start", (c1.start, c2.start),
+                           "start vertices not related")
+    for u in sorted(f):
+        v = f[u]
+        if (u in c1.terminating) != (v in c2.terminating):
+            return BisimReport(False, "termination", (u, v),
+                               "termination flags differ")
+        out1 = c1.out(u)
+        for _, label, u1 in out1:
+            if u1 not in f or (v, label, f[u1]) not in c2.transitions:
+                return BisimReport(False, "forth", (u, v),
+                                   f"no matching {label}-step on the right")
+        images = {(label, f[u1]) for _, label, u1 in out1 if u1 in f}
+        for _, label, v1 in c2.out(v):
+            if (label, v1) not in images:
+                return BisimReport(False, "back", (u, v),
+                                   f"no matching {label}-step on the left")
+    return BisimReport(True)
 
 
 def collapse(c: Chart) -> tuple[Chart, dict[int, int]]:

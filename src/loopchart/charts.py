@@ -233,7 +233,7 @@ def induced_of(c: Chart) -> Chart:
     transitions = set()
     terminating = set()
     for v in c.vertices:
-        closure = reach(empty_out.get, [v])
+        closure = reach(empty_out.get, [v]) if v in empty_out else (v,)
         if not c.terminating.isdisjoint(closure):
             terminating.add(v)
         for x in closure:

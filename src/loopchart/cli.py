@@ -36,54 +36,73 @@ class VerifyReport:
         return json.dumps(doc)
 
 
-def verify_p1(e: StarExpr) -> VerifyReport:
-    """The projection is a functional bisimulation from the reachable part
-    of the induced chart of the 1-chart interpretation onto the chart
-    interpretation."""
-    chart, chart_exprs = semantics.chart_of_with_exprs(e)
-    chart_ids = {expr: vid for vid, expr in chart_exprs.items()}
-    onechart, stacked_exprs = semantics.onechart_of_with_exprs(e)
-    induced = charts.reachable(charts.induced_of(onechart))
-    stats = {
-        "onechart_vertices": len(onechart.vertices),
-        "one_transitions": len(onechart.one_transitions),
-        "induced_vertices": len(induced.vertices),
-        "chart_vertices": len(chart.vertices),
-    }
-    mapping: dict[int, int] = {}
-    for vid in induced.vertices:
-        image = project(stacked_exprs[vid])
-        if image not in chart_ids:
-            return VerifyReport(render(e), "p1", False, stats, {
-                "kind": "projection-misses-chart",
-                "vertex": vid, "projected": render(image)})
-        mapping[vid] = chart_ids[image]
-    report = bisim.check_functional_bisim(induced, chart, mapping)
-    if not report.ok:
-        return VerifyReport(render(e), "p1", False, stats, {
-            "kind": "not-a-functional-bisimulation",
-            "clause": report.clause, "pair": report.pair})
-    return VerifyReport(render(e), "p1", True, stats)
-
-
 P2_MEMO_SIZE = 128
 
 
+def _rebuilt(structure: tuple, width: int) -> tuple[Chart, list[tuple]]:
+    """The chart on vertices 0..size-1, start 0, of a closure's structure
+    (`semantics.structure_of`) whose transitions take `width` items each,
+    and those transitions' items, in order."""
+    size, terminating, laid_out = structure
+    steps = list(zip(*[iter(laid_out)] * width))
+    chart = Chart(frozenset(s[1] for s in steps) - {charts.EMPTY}, 0,
+                  frozenset(range(size)), frozenset(s[:3] for s in steps),
+                  frozenset(terminating))
+    return chart, steps
+
+
 @functools.lru_cache(maxsize=P2_MEMO_SIZE)
-def _p2_verdict(start: int, size: int, terminating: tuple[int, ...],
-                marked: tuple) -> tuple[dict, Optional[dict]]:
-    """P2's statistics and failure for the marked 1-chart on vertices
-    0..size-1 (as `_close` numbers them) whose transitions are `marked`'s
-    source, label, target and marking, laid end to end.  The validators see
-    only the labeling rebuilt from these ints and label strings."""
-    it = iter(marked)
-    marking = {(v, label, w): m for v, label, w, m in zip(it, it, it, it)}
-    chart = Chart(frozenset(t[1] for t in marking) - {charts.EMPTY}, start,
-                  frozenset(range(size)), frozenset(marking), frozenset(terminating))
-    labeling = EntryBodyLabeling(chart, marking)
+def _p1_verdict(onechart: tuple, chart: tuple,
+                projection: tuple[int, ...]) -> tuple[dict, Optional[dict]]:
+    """P1's statistics and failure for the 1-chart and the chart of these
+    closure structures, `projection` giving each 1-chart vertex's image as a
+    chart vertex, or -1 for none.  A projection-misses-chart failure lacks
+    the projected text, which only the expression has."""
+    one, _ = _rebuilt(onechart, 4)
+    plain, _ = _rebuilt(chart, 3)
+    induced = charts.reachable(charts.induced_of(one))
+    stats = {"onechart_vertices": onechart[0], "one_transitions": len(one.one_transitions),
+             "induced_vertices": len(induced.vertices), "chart_vertices": chart[0]}
+    mapping = {vid: projection[vid] for vid in induced.vertices}
+    missed = [vid for vid, image in mapping.items() if image < 0]
+    if missed:
+        return stats, {"kind": "projection-misses-chart", "vertex": missed[0]}
+    report = bisim.check_functional_bisim(induced, plain, mapping)
+    if not report.ok:
+        return stats, {"kind": "not-a-functional-bisimulation",
+                       "clause": report.clause, "pair": report.pair}
+    return stats, None
+
+
+def verify_p1(e: StarExpr) -> VerifyReport:
+    """The projection is a functional bisimulation from the reachable part
+    of the induced chart of the 1-chart interpretation onto the chart
+    interpretation.  `_p1_verdict` keeps the verdicts of the P2_MEMO_SIZE most
+    recently used closure structures and projections; `cache_info()` counts
+    its hits and misses.  Every report gets its own statistics and failure."""
+    chart_ids = {expr: vid for vid, expr in semantics.chart_of_with_exprs(e)[1].items()}
+    projected = [project(x) for x in semantics.onechart_of_with_exprs(e)[1].values()]
+    stats, failure = _p1_verdict(
+        semantics.structure_of(e, semantics.labeled_steps_stacked),
+        semantics.structure_of(e, semantics.steps_star),
+        tuple(chart_ids.get(image, -1) for image in projected))
+    if failure is not None:
+        failure = dict(failure)
+        if failure["kind"] == "projection-misses-chart":
+            failure["projected"] = render(projected[failure["vertex"]])
+    return VerifyReport(render(e), "p1", failure is None, dict(stats), failure)
+
+
+@functools.lru_cache(maxsize=P2_MEMO_SIZE)
+def _p2_verdict(onechart: tuple) -> tuple[dict, Optional[dict]]:
+    """P2's statistics and failure for the marked 1-chart of this closure
+    structure.  The validators see only the labeling rebuilt from its ints
+    and label strings."""
+    chart, steps = _rebuilt(onechart, 4)
+    labeling = EntryBodyLabeling(chart, {s[:3]: s[3] for s in steps})
     direct = lee.validate_llee(labeling)
     alt = lee.validate_llee_alt(labeling)
-    stats = {"onechart_vertices": size, "one_transitions": len(chart.one_transitions),
+    stats = {"onechart_vertices": onechart[0], "one_transitions": len(chart.one_transitions),
              "entries": len(lee.entries_of(labeling))}
     failure = None
     if not (direct.valid and alt.valid):
@@ -97,14 +116,7 @@ def verify_p2(e: StarExpr) -> VerifyReport:
     per both validators.  `_p2_verdict` keeps the verdicts of the
     P2_MEMO_SIZE most recently used marked 1-charts, and its `cache_info()`
     counts hits and misses.  Every report gets its own statistics and failure."""
-    labeling = semantics.labeled_onechart_of(e)
-    c = labeling.chart
-    marked = []
-    for t, m in labeling.marking.items():
-        marked += t
-        marked.append(m)
-    stats, failure = _p2_verdict(c.start, len(c.vertices),
-                                 tuple(sorted(c.terminating)), tuple(marked))
+    stats, failure = _p2_verdict(semantics.structure_of(e, semantics.labeled_steps_stacked))
     return VerifyReport(render(e), "p2", failure is None, dict(stats),
                         copy.deepcopy(failure))
 

@@ -24,14 +24,16 @@ the slots of exactly the nodes a rule reads, dependencies first, so no rule
 recurses and nesting depth is unbounded.
 
 Interpretation builders close an expression under the respective steps into
-a finite chart (breadth-first, dense vertex ids in discovery order).  The
-two most recent closures are kept (``functools.lru_cache(maxsize=2)``): the
-1-chart and the labeled 1-chart are one closure, so an expression's chart
-and labeled 1-chart, the two closures the P1 and P2 checks read, are each
-built once.  The charts and mappings the builders return are shared with
-every caller for the same expression: do not modify them.  Once the next
-expression has been closed both ways, nothing holds the previous one, and
-its nodes die.
+a finite chart (breadth-first, dense vertex ids in discovery order).  `_close`
+returns the chart, each vertex's expression, each transition's marking (none
+in a chart) and the closure's structure (``structure_of``): ints and label
+strings, which the P1 and P2 verdict caches of ``cli`` take as keys.  The two
+most recent closures are kept (``functools.lru_cache(maxsize=2)``): the
+1-chart and the labeled 1-chart are one closure, so the chart and 1-chart
+that P1 and P2 read are each built once.  What the builders return is shared
+with every caller for the same expression: do not modify it.  Once the next
+expression has been closed both ways, nothing holds the previous one, and its
+nodes die.
 """
 
 from __future__ import annotations
@@ -246,7 +248,8 @@ VERTEX_CAP = 100_000
 
 def _close(start, step_fn, alphabet):
     """Breadth-first closure under `step_fn`, whose steps are (label,
-    *middle, target); returns (Chart, id -> expression, transition -> middle)."""
+    *middle, target); returns (Chart, id -> expression, transition -> middle,
+    structure), the structure as `structure_of` describes it."""
     ids = {start: 0}
     order = [start]
     middles = {}
@@ -254,28 +257,41 @@ def _close(start, step_fn, alphabet):
     while index < len(order):
         source = order[index]
         index += 1
-        for label, *middle, target in sorted(step_fn(source), key=lambda s: (s[0], render(s[-1]))):
+        steps = step_fn(source)
+        if len(steps) > 1:
+            steps = sorted(steps, key=lambda s: (s[0], render(s[-1])))
+        for label, *middle, target in steps:
             if target not in ids:
                 if len(ids) >= VERTEX_CAP:
                     raise StateExplosion(f"more than {VERTEX_CAP} vertices")
                 ids[target] = len(order)
                 order.append(target)
-            middles[(ids[source], label, ids[target])] = middle
+            middles[(index - 1, label, ids[target])] = middle
+    terminating = tuple(i for i, x in enumerate(order) if x.terminates)
     chart = Chart(
         alphabet=frozenset(alphabet),
         start=0,
         vertices=frozenset(range(len(order))),
         transitions=frozenset(middles),
-        terminating=frozenset(ids[x] for x in order if x.terminates),
+        terminating=frozenset(terminating),
         annotations={ids[x]: render(x) for x in order},
     )
-    return chart, dict(enumerate(order)), middles
+    laid_out = tuple([x for t, middle in middles.items() for x in (*t, *middle)])
+    return chart, dict(enumerate(order)), middles, (len(order), terminating, laid_out)
 
 
 @functools.lru_cache(maxsize=2)
 def _closure(e: StarExpr, step_fn):
     """`_close(e, step_fn, ...)`, kept for the two most recent closings."""
     return _close(e, step_fn, actions_of(e))
+
+
+def structure_of(e: StarExpr, step_fn) -> tuple:
+    """The structure of `e`'s closure under `step_fn`, in ints and label
+    strings only: its vertex count, its terminating vertices in ascending
+    order, and each transition's source, label, target and (for the 1-chart)
+    marking, laid end to end in the order `_close` discovers them."""
+    return _closure(e, step_fn)[3]
 
 
 def chart_of(e: StarExpr) -> Chart:
@@ -307,5 +323,5 @@ def labeled_onechart_of_with_exprs(
     """The marked 1-chart interpretation of `e` and each vertex's stacked
     expression.  The chart and the expressions are shared: do not modify
     them."""
-    chart, exprs, middles = _closure(e, labeled_steps_stacked)
+    chart, exprs, middles, _ = _closure(e, labeled_steps_stacked)
     return EntryBodyLabeling(chart, {t: m for t, (m,) in middles.items()}), exprs

@@ -100,7 +100,7 @@ def bottom_up(node: _Node, slot: str, deps, compute):
     `deps(n)` lists are filled first, left to right, then n's is set to
     `compute(n)`, which reads only those slots."""
     store = getattr(_Node, slot).__set__
-    stack = [(node, False)]
+    stack = [(node, False)] if getattr(node, slot) is None else []
     while stack:
         top, ready = stack.pop()
         if ready:

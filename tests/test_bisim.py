@@ -1,6 +1,9 @@
 """Bisimulation clauses, refinement vs. the brute-force oracle, collapse."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopchart import semantics
 from loopchart.bisim import (
@@ -9,6 +12,8 @@ from loopchart.bisim import (
 )
 from loopchart.charts import Chart, UnknownVertex, induced_of, reachable
 from loopchart.syntax import Act, parse_star_expr
+
+from test_charts import small_charts
 
 
 def test_identity_is_a_bisimulation():
@@ -147,3 +152,80 @@ def test_composition_of_functional_bisims(e_expr, chart_e):
     collapsed, qmap = collapse(chart)
     composed = {(v, qmap[pi[v]]) for v in ind.vertices}
     assert check_relation_bisim(ind, collapsed, composed).ok
+
+
+def _outcome(check, c1, c2, f):
+    """The report of `check`, or the vertex pair of the UnknownVertex it
+    raised."""
+    try:
+        return check(c1, c2, f)
+    except UnknownVertex as err:
+        return ("UnknownVertex", err.args)
+
+
+def _relational_outcome(c1, c2, f):
+    return _outcome(check_relation_bisim, c1, c2, set(f.items()))
+
+
+def _maps(draw_int, c1, c2):
+    """A random partial map from c1's vertices to c2's; about one in five
+    also sends a vertex outside c1, or a vertex to one outside c2."""
+    n1, n2 = len(c1.vertices), len(c2.vertices)
+    f = {v: draw_int(0, n2 - 1) for v in range(n1) if draw_int(0, 3)}
+    if not draw_int(0, 9):
+        f[n1] = draw_int(0, n2 - 1)
+    if not draw_int(0, 9):
+        f[draw_int(0, n1 - 1)] = n2
+    return f
+
+
+@st.composite
+def charts_with_maps(draw):
+    """Random charts with random partial maps, which mostly fail, and
+    collapses with their quotient maps, whole, cut down or changed in one
+    place, which mostly pass."""
+    c1 = draw(small_charts())
+    draw_int = lambda low, high: draw(st.integers(low, high))
+    if draw(st.booleans()):
+        c2 = draw(small_charts())
+        return c1, c2, _maps(draw_int, c1, c2)
+    c2, f = collapse(c1)
+    change = draw(st.sampled_from(["none", "drop", "move"]))
+    if change != "none":
+        v = draw(st.sampled_from(sorted(f)))
+        if change == "drop":
+            del f[v]
+        else:
+            f[v] = draw_int(0, len(c2.vertices))
+    return c1, c2, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(charts_with_maps())
+def test_functional_bisim_agrees_with_the_relational_check(case):
+    c1, c2, f = case
+    assert _outcome(check_functional_bisim, c1, c2, f) == _relational_outcome(c1, c2, f)
+
+
+def test_functional_bisim_agrees_on_seeded_random_maps():
+    """Every clause, passing maps and UnknownVertex, from seeded draws."""
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(3000):
+        n1, n2 = rng.randint(1, 5), rng.randint(1, 4)
+        c1, c2 = (Chart(frozenset("ab"), rng.randrange(n), frozenset(range(n)),
+                        frozenset((rng.randrange(n), rng.choice("ab1"), rng.randrange(n))
+                                  for _ in range(rng.randint(0, 2 * n))),
+                        frozenset(v for v in range(n) if rng.random() < 0.4))
+                  for n in (n1, n2))
+        if rng.random() < 0.5:
+            c2, f = collapse(c1)
+        else:
+            f = _maps(rng.randint, c1, c2)
+            f[c1.start] = c2.start if rng.random() < 0.8 else f.get(c1.start, 0)
+        outcome = _outcome(check_functional_bisim, c1, c2, f)
+        assert outcome == _relational_outcome(c1, c2, f)
+        outcomes.append(outcome[0] if isinstance(outcome, tuple) else
+                        "pass" if outcome.ok else outcome.clause)
+    kinds = set(outcomes)
+    assert kinds == {"pass", "start", "termination", "forth", "back", "UnknownVertex"}

@@ -15,14 +15,14 @@ import weakref
 
 import pytest
 
-from loopchart import charts, cli, lee, semantics
+from loopchart import bisim, charts, cli, lee, semantics
 from loopchart.charts import Chart, EntryBodyLabeling
 from loopchart.cli import (
     corpus_exprs, default_corpus, enumerate_exprs, run_cli, sample_exprs,
     verify_p1, verify_p2,
 )
 from loopchart.lee import WitnessReport, decide_lee
-from loopchart.syntax import Act, One, Star, Zero, parse_star_expr, render
+from loopchart.syntax import Act, One, Star, Zero, parse_star_expr, project, render
 
 from conftest import FIXTURES
 
@@ -100,11 +100,145 @@ def test_a_repeated_action_is_enumerated_once(capsys):
 
 @pytest.fixture
 def fresh_p2_memo():
-    """An empty P2 cache, emptied again afterwards, so that verdicts of
-    patched validators do not outlive the test."""
+    """Empty P1 and P2 caches, emptied again afterwards, so that verdicts of
+    patched validators or patched closures do not outlive the test."""
+    cli._p1_verdict.cache_clear()
     cli._p2_verdict.cache_clear()
     yield
+    cli._p1_verdict.cache_clear()
     cli._p2_verdict.cache_clear()
+
+
+def _direct_p1_report(e) -> str:
+    """P1's report from the expression's own chart and induced chart, with
+    the graph of the projection checked by `check_relation_bisim`: the
+    uncached check, bypassing `_p1_verdict`."""
+    chart, chart_exprs = semantics.chart_of_with_exprs(e)
+    chart_ids = {expr: vid for vid, expr in chart_exprs.items()}
+    onechart, stacked_exprs = semantics.onechart_of_with_exprs(e)
+    induced = charts.reachable(charts.induced_of(onechart))
+    stats = {
+        "onechart_vertices": len(onechart.vertices),
+        "one_transitions": len(onechart.one_transitions),
+        "induced_vertices": len(induced.vertices),
+        "chart_vertices": len(chart.vertices),
+    }
+    mapping = {}
+    for vid in induced.vertices:
+        image = project(stacked_exprs[vid])
+        if image not in chart_ids:
+            return cli.VerifyReport(render(e), "p1", False, stats, {
+                "kind": "projection-misses-chart",
+                "vertex": vid, "projected": render(image)}).to_json()
+        mapping[vid] = chart_ids[image]
+    report = bisim.check_relation_bisim(induced, chart, set(mapping.items()))
+    failure = None
+    if not report.ok:
+        failure = {"kind": "not-a-functional-bisimulation",
+                   "clause": report.clause, "pair": report.pair}
+    return cli.VerifyReport(render(e), "p1", report.ok, stats, failure).to_json()
+
+
+def test_p1_reports_do_not_depend_on_the_cache(fresh_p2_memo):
+    exprs = list(corpus_exprs()) + list(sample_exprs(["a", "b", "c"], 200, 40, 7))
+    expected = [_direct_p1_report(e) for e in exprs]
+    cold = []
+    for e in exprs:
+        cli._p1_verdict.cache_clear()
+        cold.append(verify_p1(e).to_json())
+    assert cold == expected
+    cli._p1_verdict.cache_clear()
+    assert [verify_p1(e).to_json() for e in exprs] == expected
+    info = cli._p1_verdict.cache_info()
+    assert 0 < info.misses < len(exprs) / 2 and info.currsize == cli.P2_MEMO_SIZE
+
+
+def _structure(chart, marking=None) -> tuple:
+    """`semantics.structure_of` for a chart on vertices 0..n-1 with start 0,
+    its transitions in sorted order."""
+    laid_out = []
+    for t in sorted(chart.transitions):
+        laid_out += t if marking is None else (*t, marking[t])
+    return len(chart.vertices), tuple(sorted(chart.terminating)), tuple(laid_out)
+
+
+def _random_p1_case(rng):
+    """A chart, a 1-chart and the expressions of their vertices, drawn so
+    that the projection mostly maps into the chart and the 1-chart mostly
+    follows it: chart vertex i is `xi`, and 1-chart vertex v is `xi` for
+    its image i, or `yv` when it has none."""
+    n2 = rng.randint(1, 4)
+    chart = Chart(frozenset("ab"), 0, frozenset(range(n2)),
+                  frozenset((rng.randrange(n2), rng.choice("ab"), rng.randrange(n2))
+                            for _ in range(rng.randint(0, 2 * n2))),
+                  frozenset(v for v in range(n2) if rng.random() < 0.4))
+    n1 = rng.randint(1, 6)
+    image = [0] + [rng.randrange(n2) if rng.random() < 0.85 else -1 for _ in range(1, n1)]
+    if rng.random() < 0.1:
+        image[0] = rng.randrange(n2)
+    by_image = {}
+    for v, i in enumerate(image):
+        by_image.setdefault(i, []).append(v)
+    transitions = set()
+    for v, i in enumerate(image):
+        for _, label, j in chart.out(i):
+            if j in by_image and rng.random() < 0.95:
+                transitions.add((v, label, rng.choice(by_image[j])))
+        if rng.random() < 0.3:
+            transitions.add((v, rng.choice("ab1"), rng.randrange(n1)))
+        if rng.random() < 0.2:
+            transitions.add((v, "1", rng.choice(by_image[i])))
+    terminating = {v for v, i in enumerate(image)
+                   if (i in chart.terminating) != (rng.random() < 0.05)}
+    onechart = Chart(frozenset("ab"), 0, frozenset(range(n1)), frozenset(transitions),
+                     frozenset(terminating))
+    exprs = {i: Act(f"x{i}") for i in range(n2)}
+    stacked = {v: exprs[i] if i >= 0 else Act(f"y{v}") for v, i in enumerate(image)}
+    return chart, exprs, onechart, stacked
+
+
+def test_p1_reports_equal_the_uncached_check_on_random_structures(fresh_p2_memo,
+                                                                  monkeypatch):
+    """Seeded random charts and 1-charts, in place of an expression's
+    closures: through the cache, cold or warm, each report equals the
+    uncached check's, and every failure kind is met."""
+    rng = random.Random(20)
+    cases = [_random_p1_case(rng) for _ in range(600)]
+    e = parse_star_expr("a")
+    failures = []
+    # each case cold, then the last 100 twice, the second time all hits
+    for n, (chart, exprs, onechart, stacked) in enumerate(cases + cases[-100:] * 2):
+        monkeypatch.setattr(semantics, "chart_of_with_exprs", lambda _: (chart, exprs))
+        monkeypatch.setattr(semantics, "onechart_of_with_exprs",
+                            lambda _: (onechart, stacked))
+        monkeypatch.setattr(semantics, "structure_of", lambda _, step_fn: (
+            _structure(chart) if step_fn is semantics.steps_star
+            else _structure(onechart, dict.fromkeys(onechart.transitions, 0))))
+        expected = _direct_p1_report(e)
+        if n < len(cases):
+            cli._p1_verdict.cache_clear()
+        assert verify_p1(e).to_json() == expected
+        failure = json.loads(expected).get("failure", {})
+        failures.append(failure.get("clause", failure.get("kind", "pass")))
+    assert set(failures) == {"pass", "projection-misses-chart", "start",
+                             "termination", "forth", "back"}
+    assert cli._p1_verdict.cache_info().hits >= 100
+
+
+def test_p1_checks_once_per_recent_structure(fresh_p2_memo, monkeypatch):
+    """4,236 expressions, 511 distinct keys of chart, 1-chart and
+    projection, and 686 misses with the least recently used of 128
+    verdicts evicted first."""
+    keys, verdict = [], cli._p1_verdict
+
+    def recording(*key):
+        keys.append(key)
+        return verdict(*key)
+    monkeypatch.setattr(cli, "_p1_verdict", recording)
+    assert sum(verify_p1(e).passed for e in corpus_exprs()) == 4236
+    assert len(keys) == 4236 and len(set(keys)) == 511
+    info = verdict.cache_info()
+    assert (info.hits, info.misses) == (4236 - 686, 686)
 
 
 def _count_validator_runs(monkeypatch) -> list:
@@ -166,6 +300,8 @@ def test_p2_reports_equal_the_validators_on_rejected_labelings(fresh_p2_memo, mo
     passed = []
     for labeling in labelings + labelings[-50:]:
         monkeypatch.setattr(semantics, "labeled_onechart_of", lambda _: labeling)
+        monkeypatch.setattr(semantics, "structure_of",
+                            lambda *_: _structure(labeling.chart, labeling.marking))
         report = verify_p2(e)
         assert report.to_json() == _direct_p2_report(e)
         passed.append(report.passed)
