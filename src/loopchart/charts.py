@@ -95,7 +95,7 @@ class EntryBodyLabeling:
     marking: dict[Transition, int]
 
     def __post_init__(self):
-        if set(self.marking) != set(self.chart.transitions):
+        if self.marking.keys() != self.chart.transitions:
             raise ValueError("the marking must cover exactly the chart's transitions")
         if any(m < 0 for m in self.marking.values()):
             raise ValueError("markings must be natural numbers")

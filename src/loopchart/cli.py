@@ -39,27 +39,16 @@ class VerifyReport:
 P2_MEMO_SIZE = 128
 
 
-def _rebuilt(structure: tuple, width: int) -> tuple[Chart, list[tuple]]:
-    """The chart on vertices 0..size-1, start 0, of a closure's structure
-    (`semantics.structure_of`) whose transitions take `width` items each,
-    and those transitions' items, in order."""
-    size, terminating, laid_out = structure
-    steps = list(zip(*[iter(laid_out)] * width))
-    chart = Chart(frozenset(s[1] for s in steps) - {charts.EMPTY}, 0,
-                  frozenset(range(size)), frozenset(s[:3] for s in steps),
-                  frozenset(terminating))
-    return chart, steps
-
-
 @functools.lru_cache(maxsize=P2_MEMO_SIZE)
 def _p1_verdict(onechart: tuple, chart: tuple,
                 projection: tuple[int, ...]) -> tuple[dict, Optional[dict]]:
     """P1's statistics and failure for the 1-chart and the chart of these
     closure structures, `projection` giving each 1-chart vertex's image as a
-    chart vertex, or -1 for none.  A projection-misses-chart failure lacks
-    the projected text, which only the expression has."""
-    one, _ = _rebuilt(onechart, 4)
-    plain, _ = _rebuilt(chart, 3)
+    chart vertex, or -1 for none; `semantics.from_structure` builds the two
+    charts.  A projection-misses-chart failure lacks the projected text,
+    which only the expression has."""
+    one = semantics.from_structure(onechart, True).chart
+    plain = semantics.from_structure(chart, False)
     induced = charts.reachable(charts.induced_of(one))
     stats = {"onechart_vertices": onechart[0], "one_transitions": len(one.one_transitions),
              "induced_vertices": len(induced.vertices), "chart_vertices": chart[0]}
@@ -80,12 +69,11 @@ def verify_p1(e: StarExpr) -> VerifyReport:
     interpretation.  `_p1_verdict` keeps the verdicts of the P2_MEMO_SIZE most
     recently used closure structures and projections; `cache_info()` counts
     its hits and misses.  Every report gets its own statistics and failure."""
-    chart_ids = {expr: vid for vid, expr in semantics.chart_of_with_exprs(e)[1].items()}
-    projected = [project(x) for x in semantics.onechart_of_with_exprs(e)[1].values()]
-    stats, failure = _p1_verdict(
-        semantics.structure_of(e, semantics.labeled_steps_stacked),
-        semantics.structure_of(e, semantics.steps_star),
-        tuple(chart_ids.get(image, -1) for image in projected))
+    one = semantics.closure_of(e, semantics.labeled_steps_stacked)
+    plain = semantics.closure_of(e, semantics.steps_star)
+    projected = [project(x) for x in one.exprs]
+    stats, failure = _p1_verdict(one.structure, plain.structure,
+                                 tuple(plain.ids.get(image, -1) for image in projected))
     if failure is not None:
         failure = dict(failure)
         if failure["kind"] == "projection-misses-chart":
@@ -96,13 +84,13 @@ def verify_p1(e: StarExpr) -> VerifyReport:
 @functools.lru_cache(maxsize=P2_MEMO_SIZE)
 def _p2_verdict(onechart: tuple) -> tuple[dict, Optional[dict]]:
     """P2's statistics and failure for the marked 1-chart of this closure
-    structure.  The validators see only the labeling rebuilt from its ints
-    and label strings."""
-    chart, steps = _rebuilt(onechart, 4)
-    labeling = EntryBodyLabeling(chart, {s[:3]: s[3] for s in steps})
+    structure.  The validators see only the labeling that
+    `semantics.from_structure` builds from its ints and label strings."""
+    labeling = semantics.from_structure(onechart, True)
     direct = lee.validate_llee(labeling)
     alt = lee.validate_llee_alt(labeling)
-    stats = {"onechart_vertices": onechart[0], "one_transitions": len(chart.one_transitions),
+    stats = {"onechart_vertices": onechart[0],
+             "one_transitions": len(labeling.chart.one_transitions),
              "entries": len(lee.entries_of(labeling))}
     failure = None
     if not (direct.valid and alt.valid):
@@ -116,7 +104,8 @@ def verify_p2(e: StarExpr) -> VerifyReport:
     per both validators.  `_p2_verdict` keeps the verdicts of the
     P2_MEMO_SIZE most recently used marked 1-charts, and its `cache_info()`
     counts hits and misses.  Every report gets its own statistics and failure."""
-    stats, failure = _p2_verdict(semantics.structure_of(e, semantics.labeled_steps_stacked))
+    stats, failure = _p2_verdict(
+        semantics.closure_of(e, semantics.labeled_steps_stacked).structure)
     return VerifyReport(render(e), "p2", failure is None, dict(stats),
                         copy.deepcopy(failure))
 

@@ -23,22 +23,23 @@ plain steps and ``_marked`` for the marked ones: ``syntax.bottom_up`` fills
 the slots of exactly the nodes a rule reads, dependencies first, so no rule
 recurses and nesting depth is unbounded.
 
-Interpretation builders close an expression under the respective steps into
-a finite chart (breadth-first, dense vertex ids in discovery order).  `_close`
-returns the chart, each vertex's expression, each transition's marking (none
-in a chart) and the closure's structure (``structure_of``): ints and label
-strings, which the P1 and P2 verdict caches of ``cli`` take as keys.  The two
-most recent closures are kept (``functools.lru_cache(maxsize=2)``): the
-1-chart and the labeled 1-chart are one closure, so the chart and 1-chart
-that P1 and P2 read are each built once.  What the builders return is shared
+Interpretations close an expression under the respective steps
+(breadth-first, dense vertex ids in discovery order).  `_close` returns only
+each vertex's expression, the expression -> id map and the structure
+(``Closure.structure``): ints and label strings, which the P1 and P2 verdict
+caches of ``cli`` take as keys and read without any chart.  One function,
+`from_structure`, turns a structure into a chart; ``chart_of`` and its
+siblings build theirs on first use and keep it with its closure.  The two
+most recent closures are kept (``functools.lru_cache(maxsize=2)``); the
+1-chart and the labeled 1-chart are one closure.  What they return is shared
 with every caller for the same expression: do not modify it.  Once the next
-expression has been closed both ways, nothing holds the previous one, and its
-nodes die.
+expression has been closed both ways, the previous one's nodes can die.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 from .charts import EMPTY, Chart, EntryBodyLabeling, reach
 from .syntax import (
@@ -246,18 +247,15 @@ def entry_shape_ok(E: Stacked, label: str, level: int,
 VERTEX_CAP = 100_000
 
 
-def _close(start, step_fn, alphabet):
+def _close(start, step_fn):
     """Breadth-first closure under `step_fn`, whose steps are (label,
-    *middle, target); returns (Chart, id -> expression, transition -> middle,
-    structure), the structure as `structure_of` describes it."""
+    *middle, target): each vertex's expression in id order, the expression
+    -> id map, and the structure that `Closure` describes."""
     ids = {start: 0}
     order = [start]
-    middles = {}
-    index = 0
-    while index < len(order):
-        source = order[index]
-        index += 1
-        steps = step_fn(source)
+    laid_out = []
+    for source, expr in enumerate(order):
+        steps = step_fn(expr)
         if len(steps) > 1:
             steps = sorted(steps, key=lambda s: (s[0], render(s[-1])))
         for label, *middle, target in steps:
@@ -266,32 +264,57 @@ def _close(start, step_fn, alphabet):
                     raise StateExplosion(f"more than {VERTEX_CAP} vertices")
                 ids[target] = len(order)
                 order.append(target)
-            middles[(index - 1, label, ids[target])] = middle
+            laid_out += (source, label, ids[target], *middle)
     terminating = tuple(i for i, x in enumerate(order) if x.terminates)
-    chart = Chart(
-        alphabet=frozenset(alphabet),
-        start=0,
-        vertices=frozenset(range(len(order))),
-        transitions=frozenset(middles),
-        terminating=frozenset(terminating),
-        annotations={ids[x]: render(x) for x in order},
-    )
-    laid_out = tuple([x for t, middle in middles.items() for x in (*t, *middle)])
-    return chart, dict(enumerate(order)), middles, (len(order), terminating, laid_out)
+    return order, ids, (len(order), terminating, tuple(laid_out))
+
+
+@dataclass(slots=True)
+class Closure:
+    """What `_close` returns and the chart (or labeling) `_built` makes.  The
+    structure is the vertex count, the terminating vertices in order and each
+    transition's source, label, target (and marking) end to end, as found."""
+
+    exprs: list
+    ids: dict
+    structure: tuple
+    built: Chart | EntryBodyLabeling | None = None
 
 
 @functools.lru_cache(maxsize=2)
-def _closure(e: StarExpr, step_fn):
-    """`_close(e, step_fn, ...)`, kept for the two most recent closings."""
-    return _close(e, step_fn, actions_of(e))
+def closure_of(e: StarExpr, step_fn) -> Closure:
+    """`e`'s closure under `step_fn`, kept for the two most recent closings;
+    shared with every caller for `e`: do not modify it."""
+    return Closure(*_close(e, step_fn))
 
 
-def structure_of(e: StarExpr, step_fn) -> tuple:
-    """The structure of `e`'s closure under `step_fn`, in ints and label
-    strings only: its vertex count, its terminating vertices in ascending
-    order, and each transition's source, label, target and (for the 1-chart)
-    marking, laid end to end in the order `_close` discovers them."""
-    return _closure(e, step_fn)[3]
+def from_structure(structure: tuple, marked: bool, alphabet=None,
+                   annotations=None) -> Chart | EntryBodyLabeling:
+    """The chart on vertices 0..size-1, start 0, of a closure's structure
+    (`Closure`), or for a marked closure that chart's labeling by the
+    markings.  The alphabet defaults to the labels the transitions carry."""
+    size, terminating, laid_out = structure
+    items = iter(laid_out)
+    if marked:
+        marking = {(v, label, w): m for v, label, w, m in zip(items, items, items, items)}
+    transitions = frozenset(marking if marked else zip(items, items, items))
+    if alphabet is None:
+        alphabet = frozenset(laid_out[1::4 if marked else 3]) - {EMPTY}
+    chart = Chart(frozenset(alphabet), 0, frozenset(range(size)), transitions,
+                  frozenset(terminating), annotations or {})
+    return EntryBodyLabeling(chart, marking) if marked else chart
+
+
+def _built(e: StarExpr, step_fn):
+    """The chart, or for marked steps the labeling, of `closure_of(e,
+    step_fn)` over the actions of `e`, annotated with the vertices' texts,
+    built once and shared (do not modify it); and each vertex's expression."""
+    closure = closure_of(e, step_fn)
+    if closure.built is None:
+        closure.built = from_structure(
+            closure.structure, step_fn is labeled_steps_stacked, actions_of(e),
+            {v: render(x) for v, x in enumerate(closure.exprs)})
+    return closure.built, dict(enumerate(closure.exprs))
 
 
 def chart_of(e: StarExpr) -> Chart:
@@ -299,9 +322,8 @@ def chart_of(e: StarExpr) -> Chart:
 
 
 def chart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StarExpr]]:
-    """The chart interpretation of `e` and each vertex's expression.  Both
-    are shared with the other callers for `e`: do not modify them."""
-    return _closure(e, steps_star)[:2]
+    """The chart interpretation of `e` and each vertex's expression."""
+    return _built(e, steps_star)
 
 
 def onechart_of(e: StarExpr) -> Chart:
@@ -310,8 +332,9 @@ def onechart_of(e: StarExpr) -> Chart:
 
 def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, Stacked]]:
     """The 1-chart interpretation of `e` (the chart of the labeled one) and
-    each vertex's stacked expression; shared: do not modify them."""
-    return _closure(e, labeled_steps_stacked)[:2]
+    each vertex's stacked expression."""
+    labeling, exprs = _built(e, labeled_steps_stacked)
+    return labeling.chart, exprs
 
 
 def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
@@ -321,7 +344,5 @@ def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
 def labeled_onechart_of_with_exprs(
         e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, Stacked]]:
     """The marked 1-chart interpretation of `e` and each vertex's stacked
-    expression.  The chart and the expressions are shared: do not modify
-    them."""
-    chart, exprs, middles, _ = _closure(e, labeled_steps_stacked)
-    return EntryBodyLabeling(chart, {t: m for t, (m,) in middles.items()}), exprs
+    expression."""
+    return _built(e, labeled_steps_stacked)

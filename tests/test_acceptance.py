@@ -232,6 +232,22 @@ def test_corpus_chart_json_is_unchanged(corpus_results):
     assert digest.hexdigest() == CORPUS_JSON_SHA256
 
 
+# sha256 over to_dot(chart_of(e)) and to_dot(labeled_onechart_of(e)) for
+# every corpus expression in order, recorded while every closure still built
+# its chart and annotations
+CORPUS_DOT_SHA256 = "13da5216239b8cda82427113ad6cb141a1ea74b5dec6070d3b1362427930fdc6"
+
+
+def test_corpus_chart_dot_is_unchanged(corpus_results):
+    """DOT output, annotations and markings included, is part of the output
+    contract."""
+    digest = hashlib.sha256()
+    for e in corpus_results.expressions:
+        digest.update(charts.to_dot(semantics.chart_of(e)).encode())
+        digest.update(charts.to_dot(semantics.labeled_onechart_of(e)).encode())
+    assert digest.hexdigest() == CORPUS_DOT_SHA256
+
+
 # sha256 over to_json of the collapse of chart_of(e) and its sorted vertex
 # map, for every corpus expression in order, recorded before collapse's
 # breadth-first numbering moved onto charts.reach

@@ -154,7 +154,7 @@ def test_p1_reports_do_not_depend_on_the_cache(fresh_p2_memo):
 
 
 def _structure(chart, marking=None) -> tuple:
-    """`semantics.structure_of` for a chart on vertices 0..n-1 with start 0,
+    """`semantics.Closure.structure` for a chart on vertices 0..n-1 with start 0,
     its transitions in sorted order."""
     laid_out = []
     for t in sorted(chart.transitions):
@@ -211,9 +211,13 @@ def test_p1_reports_equal_the_uncached_check_on_random_structures(fresh_p2_memo,
         monkeypatch.setattr(semantics, "chart_of_with_exprs", lambda _: (chart, exprs))
         monkeypatch.setattr(semantics, "onechart_of_with_exprs",
                             lambda _: (onechart, stacked))
-        monkeypatch.setattr(semantics, "structure_of", lambda _, step_fn: (
-            _structure(chart) if step_fn is semantics.steps_star
-            else _structure(onechart, dict.fromkeys(onechart.transitions, 0))))
+        closures = {
+            semantics.steps_star: semantics.Closure(
+                list(exprs.values()), {x: i for i, x in exprs.items()}, _structure(chart)),
+            semantics.labeled_steps_stacked: semantics.Closure(
+                list(stacked.values()), {},
+                _structure(onechart, dict.fromkeys(onechart.transitions, 0)))}
+        monkeypatch.setattr(semantics, "closure_of", lambda _, step_fn: closures[step_fn])
         expected = _direct_p1_report(e)
         if n < len(cases):
             cli._p1_verdict.cache_clear()
@@ -300,8 +304,8 @@ def test_p2_reports_equal_the_validators_on_rejected_labelings(fresh_p2_memo, mo
     passed = []
     for labeling in labelings + labelings[-50:]:
         monkeypatch.setattr(semantics, "labeled_onechart_of", lambda _: labeling)
-        monkeypatch.setattr(semantics, "structure_of",
-                            lambda *_: _structure(labeling.chart, labeling.marking))
+        monkeypatch.setattr(semantics, "closure_of", lambda *_: semantics.Closure(
+            [], {}, _structure(labeling.chart, labeling.marking)))
         report = verify_p2(e)
         assert report.to_json() == _direct_p2_report(e)
         passed.append(report.passed)

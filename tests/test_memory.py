@@ -11,6 +11,7 @@ import pytest
 
 import loopchart
 from loopchart import cli, semantics
+from loopchart.charts import Chart
 from loopchart.syntax import Act, One, Prod, SProd, SStack, Star, Sum, Zero, parse_star_expr
 
 from conftest import E_TEXT, F_TEXT, G0_TEXT
@@ -28,7 +29,7 @@ def _live_nodes() -> int:
 
 def _forget_recent() -> None:
     """Empty the interpretation memo."""
-    semantics._closure.cache_clear()
+    semantics.closure_of.cache_clear()
 
 
 def test_corpus_nodes_die_with_their_roots():
@@ -46,9 +47,9 @@ def _count_closures(monkeypatch) -> list:
     closed = []
     close = semantics._close
 
-    def counting_close(start, step_fn, alphabet):
+    def counting_close(start, step_fn):
         closed.append(start)
-        return close(start, step_fn, alphabet)
+        return close(start, step_fn)
     monkeypatch.setattr(semantics, "_close", counting_close)
     return closed
 
@@ -67,6 +68,37 @@ def test_p1_and_p2_close_an_expression_twice(monkeypatch):
     semantics.chart_of(Act("a"))
     semantics.chart_of(e)
     assert len(closed) == 4
+
+
+def _count_charts(monkeypatch) -> list:
+    built = []
+    check = Chart.__post_init__
+
+    def counting_check(chart):
+        built.append(chart)
+        return check(chart)
+    monkeypatch.setattr(Chart, "__post_init__", counting_check)
+    return built
+
+
+def test_cached_verdicts_build_no_chart(monkeypatch):
+    """A verdict-cache hit reads the closures' structures only; a chart is
+    built when it is first asked for, once."""
+    exprs = list(cli.sample_exprs(["a", "b"], 60, 10, 5))
+    assert len(set(exprs)) < cli.P2_MEMO_SIZE
+    for e in exprs:
+        cli.verify_p1(e)
+        cli.verify_p2(e)
+    built = _count_charts(monkeypatch)
+    for e in exprs:
+        cli.verify_p1(e)
+        cli.verify_p2(e)
+    assert built == []
+    chart = semantics.chart_of(e)
+    assert len(built) == 1 and built[0] is chart and semantics.chart_of(e) is chart
+    labeling = semantics.labeled_onechart_of(e)
+    assert len(built) == 2 and built[1] is labeling.chart
+    assert semantics.onechart_of(e) is labeling.chart and len(built) == 2
 
 
 def test_the_previous_expression_dies_once_the_next_is_closed():
@@ -148,7 +180,7 @@ def outputs():
     return docs, roots
 
 first, roots = outputs()
-semantics._closure.cache_clear()
+semantics.closure_of.cache_clear()
 gc.collect()
 assert all(root() is None for root in roots)
 held = list(cli.sample_exprs(["a", "b", "c"], 300, 12, 3))

@@ -3,15 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopchart import semantics
+from loopchart import cli, semantics
 from loopchart.charts import EMPTY
 from loopchart.semantics import (
     chart_of, labeled_onechart_of, labeled_steps_stacked, normedness,
     onechart_of, steps_stacked, steps_star,
 )
 from loopchart.syntax import (
-    Act, One, Prod, SStack, Star, StarExpr, Sum, Zero, parse_star_expr, project,
-    render,
+    Act, One, Prod, SStack, Star, StarExpr, Sum, Zero, actions_of, parse_star_expr,
+    project, render,
 )
 
 
@@ -168,6 +168,26 @@ def test_closure_soundness(chart_g0, g0):
         actual = {(label, chart.annotations[w])
                   for v, label, w in chart.transitions if v == vid}
         assert actual == expected
+
+
+def test_charts_from_structures_equal_the_interpretations():
+    """The chart that `from_structure` builds from a closure's structure,
+    which is all the P1 and P2 verdict caches see, is the interpretation's
+    own chart: the cache keys and the public charts cannot drift apart.
+    The labels it collects lie in the expression's actions, as the
+    interpretations' alphabets require."""
+    exprs = list(cli.corpus_exprs()) + list(cli.sample_exprs(["a", "b", "c"], 200, 40, 7))
+    for e in exprs:
+        plain = semantics.from_structure(semantics.closure_of(e, steps_star).structure, False)
+        marked = semantics.from_structure(
+            semantics.closure_of(e, labeled_steps_stacked).structure, True)
+        for built, interpreted in ((plain, chart_of(e)),
+                                   (marked.chart, labeled_onechart_of(e).chart)):
+            assert (built.start, built.vertices, built.transitions, built.terminating) == (
+                interpreted.start, interpreted.vertices, interpreted.transitions,
+                interpreted.terminating)
+            assert built.alphabet <= actions_of(e) == interpreted.alphabet
+        assert marked.marking == labeled_onechart_of(e).marking
 
 
 def test_state_explosion_cap(monkeypatch):
