@@ -211,27 +211,32 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     iff the greedy run ends without infinite paths, and LEE fails as soon
     as no vertex has a loop.
 
-    Each round scans the live vertices in order and eliminates every
-    *innermost* loop it meets: one whose vertices other than v lie on no
-    cycle of the chart after its elimination, tested by `_innermost` on
-    the current transitions.  No later step can then start at a vertex
-    inside it, so the recording of the trace stays layered, and no later
-    pass visits those vertices: removing transitions creates no cycle.  A
-    scan that meets no innermost loop eliminates the first loop it met,
-    and a scan that meets no loop ends the run.
+    Call a vertex *retired* once it lies in B \\ {v}, where B is the body
+    (the vertex set) of a loop eliminated at v.  Each round scans the live
+    vertices in order, skips the retired ones, and eliminates the maximal
+    loop at every other vertex that has one, retiring its body.  If no
+    step eliminates at a retired vertex, the recording of the trace is a
+    layered witness: an entry at a vertex of B \\ {v} was eliminated
+    before the loop at v, so its level is lower (W3); every transition from
+    B \\ {v} stays a body step, so the subchart the loop generates in the
+    recording is the one its elimination checked (W2); and the run ends
+    without cycles, while every vertex an elimination cuts off from the
+    start lies in B \\ {v}, which holds no cycle avoiding v (W1).  Only
+    when a scan eliminates nothing while a cycle remains does the run fall
+    back to the live retired vertices, in order, and eliminate the first
+    loop it finds there, which keeps the verdict sound.
 
     A run edits one copy of the reachable chart's adjacency.  Each
     elimination checks L1-L3 on it, with v's transitions cut down to the
     entries, as `eliminate_loop` checks the loop subchart, and then drops
-    the entries from v's list.  Every vertex an innermost elimination cuts
-    off from the start lies in its body, so the live vertices are found
-    with one `reach` from the start per round.
+    the entries from v's list.  The live vertices are found with one
+    `reach` from the start per round.
 
     The budget bounds the search: each vertex pass costs one unit, and so
     does each loop elimination, with its check.  Exceeding it raises
     SearchBudgetExceeded.  The result counts the rounds, vertex passes,
-    eliminations (one per trace step), the rounds that fell back to a loop
-    that is not innermost, and the budget used."""
+    eliminations (one per trace step), the rounds that fell back to a
+    retired vertex, and the budget used."""
     if budget is None:
         budget = _budget_default()
     result = LeeResult(False)
@@ -248,7 +253,8 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     retired: set[int] = set()
     steps: list[EliminationStep] = []
 
-    def eliminate(v: int, entry_set: frozenset[Transition]) -> None:
+    def eliminate(v: int, entry_set: frozenset[Transition],
+                  body: frozenset[int]) -> None:
         spend()
         result.eliminations += 1
         kept = index[v]
@@ -259,30 +265,29 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
             raise NotALoopSubchart(report)
         index[v] = [t for t in kept if t not in entry_set]
         steps.append(EliminationStep(v, entry_set))
+        retired.update(body - {v})
+
+    def loop_at(v: int):
+        spend()
+        result.vertex_passes += 1
+        return _maximal_loop(out, r.terminating, v)
 
     while _cycle(out, [r.start], r.vertices) is not None:
         result.rounds += 1
         eliminated = result.eliminations
-        first = None
         for v in sorted(live):
-            if v in retired:
-                continue
-            spend()
-            result.vertex_passes += 1
-            loop = _maximal_loop(out, r.terminating, v)
-            if loop is None:
-                continue
-            entry_set, body = loop
-            if _innermost(out, v, entry_set, body):
-                eliminate(v, entry_set)
-                retired |= body - {v}
-            elif first is None:
-                first = v, entry_set
+            loop = None if v in retired else loop_at(v)
+            if loop is not None:
+                eliminate(v, *loop)
         if result.eliminations == eliminated:
-            if first is None:
+            for v in sorted(retired.intersection(live)):
+                loop = loop_at(v)
+                if loop is not None:
+                    result.fallbacks += 1
+                    eliminate(v, *loop)
+                    break
+            else:
                 return result
-            result.fallbacks += 1
-            eliminate(*first)
         live = reach(out, [r.start])
     result.holds = True
     result.trace = EliminationTrace(steps)
@@ -308,20 +313,6 @@ def _maximal_loop(out, terminating: frozenset[int], v: int
     if v not in body:
         return None
     return entries, body
-
-
-def _innermost(out, v: int, entries: frozenset[Transition],
-               body: frozenset[int]) -> bool:
-    """Whether no body vertex other than v lies on a cycle once the loop is
-    eliminated, read off the current chart's transitions `out`.  v stays
-    reachable, since a path to its first visit takes no entry; a cycle
-    through another body vertex passes v, since L2 rules out cycles
-    avoiding v and the body is closed under steps up to v.  So the loop is
-    innermost iff no body vertex that v reaches without an entry reaches v
-    back."""
-    others = [t[2] for t in out(v) or () if t not in entries]
-    met = [x for x in reach(out, others, {v}) if x != v and x in body]
-    return v not in reach(out, met, {v})
 
 
 def exhaustive_lee(c: Chart) -> LeeResult:

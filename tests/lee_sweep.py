@@ -4,8 +4,10 @@ enough to run, with the layering of every "holds" recording checked.
 
     PYTHONPATH=src python tests/lee_sweep.py
 
-It prints one JSON object: the number of inputs, of "holds" verdicts and of
-oracle runs, the inputs whose verdict differs from the oracle's, the inputs
+It prints one JSON object: the number of inputs, of "holds" verdicts, of
+oracle runs and of `decide_lee`'s fallback rounds (eliminations at a vertex
+an earlier loop's body retired, the only steps that could make a recording
+unlayered), the inputs whose verdict differs from the oracle's, the inputs
 whose recording is not a layered witness, and a sha256 over every verdict in
 input order, so that two versions of the program can be compared.  pytest
 does not collect this file; `tests/test_lee.py` runs a slice of it.
@@ -73,13 +75,14 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
               expression_charts(sample_exprs(["a", "b", "c"], exprs, 40, 5))]
     if large:
         inputs.append(expression_charts(large_exprs()))
-    counts = {"inputs": 0, "holds": 0, "oracle_runs": 0,
+    counts = {"inputs": 0, "holds": 0, "oracle_runs": 0, "fallbacks": 0,
               "oracle_disagreements": [], "unlayered": []}
     verdicts = hashlib.sha256()
     for group in inputs:
         for name, c, oracle in group:
             result = decide_lee(c)
             counts["inputs"] += 1
+            counts["fallbacks"] += result.fallbacks
             verdicts.update(b"1" if result.holds else b"0")
             if oracle:
                 counts["oracle_runs"] += 1

@@ -265,9 +265,11 @@ def test_corpus_collapse_is_unchanged(corpus_results):
 
 
 # sha256 over the verdict and trace JSON of decide_lee on chart_of(e) and on
-# onechart_of(e), for every corpus expression in order, recorded while each
-# round still checked one loop subchart per transition
-CORPUS_LEE_SHA256 = "2bd3e9c28834a4a2eef51497288ec1be07a36187fe53931d703c0f72b817cc5d"
+# onechart_of(e), for every corpus expression in order, recorded once a scan
+# eliminated the maximal loop at every vertex no earlier loop's body retired;
+# 20 of the 8,472 traces differ from those of the innermost-first rule, and
+# no verdict does
+CORPUS_LEE_SHA256 = "207289703e22ec8d6605cc0f71a5a693838d1d829a8a85010bb9989f89d50e3d"
 
 
 def test_corpus_lee_traces_are_unchanged(corpus_results):
@@ -284,11 +286,12 @@ def test_corpus_lee_traces_are_unchanged(corpus_results):
 
 # sha256 over json.dumps([rounds, vertex_passes, eliminations, fallbacks]) of
 # decide_lee on chart_of(e) and on onechart_of(e), for every corpus
-# expression in order, recorded once a round eliminated every innermost loop
-# it met; the totals are 4,731 rounds, 13,557 vertex passes, 4,824
-# eliminations and 593 fallbacks (one loop per round made 4,902 rounds and
-# 13,461 passes, with the same traces)
-CORPUS_LEE_COUNTERS_SHA256 = "cd847e1ff7a14c08cbd1e6aa1993e0ba02fe4b1426dcbc6a51029a2314eb350a"
+# expression in order, recorded once a scan eliminated the maximal loop at
+# every vertex no earlier loop's body retired; the totals are 4,361 rounds,
+# 11,697 vertex passes, 4,818 eliminations and 0 fallbacks (eliminating only
+# innermost loops made 4,731 rounds, 13,557 passes, 4,824 eliminations and
+# 593 fallbacks)
+CORPUS_LEE_COUNTERS_SHA256 = "40d301db5c5223f010ee2b96cbe771720c1d5ae33176d6ee389b873ae58565d1"
 
 
 def test_corpus_lee_counters_are_unchanged(corpus_results):

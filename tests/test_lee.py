@@ -1,15 +1,15 @@
 """Loop charts, elimination, the LEE decision, and witness validation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopchart import bisim, semantics
-from loopchart.charts import Chart, find_cycle, has_infinite_path, reach, reachable
+from loopchart.charts import Chart, find_cycle, has_infinite_path, reachable
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
-    NotALoopSubchart, SearchBudgetExceeded, TraceReplayError, _innermost,
-    _loop_report, _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
+    NotALoopSubchart, SearchBudgetExceeded, TraceReplayError, _loop_report,
+    _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
     entries_of, exhaustive_lee, loop_subchart_generated, recording_labeling,
     validate_llee, validate_llee_alt,
 )
@@ -126,7 +126,7 @@ def test_decide_lee_counts_its_search(chart_g0):
     assert_counters_hold_together(result, c)
 
 
-def test_decide_lee_eliminates_every_innermost_loop_a_scan_meets():
+def test_decide_lee_eliminates_every_maximal_loop_a_scan_meets():
     """One scan of the chart of a*.b* eliminates both self-loops, in vertex
     order."""
     c = semantics.chart_of(parse_star_expr("a*.b*"))
@@ -251,7 +251,8 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
     """The first loop in vertex order is at 1 with body {0}.  Eliminating it
     first leaves 0 on the cycle 0-1-4-0, and the later loop at 0 then enters
     the first loop from inside: the recording violates W2/W3 and LLEE1/LLEE4.
-    Innermost-first elimination gives a layered witness."""
+    Retiring 0 with the first loop's body keeps every later step away from
+    it, and the recording is a layered witness."""
     c = Chart(frozenset("ab"), 0, frozenset(range(5)), frozenset({
         (0, "b", 1), (1, "a", 0), (1, "b", 0), (1, "b", 4), (2, "a", 2),
         (2, "b", 3), (3, "a", 3), (3, "b", 0), (4, "a", 0), (4, "a", 2),
@@ -259,11 +260,11 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
     assert_agrees_with_oracle(c)
 
 
-# two charts where decide_lee holds, as exhaustive_lee does: the recording of
-# the 6-vertex chart's trace is not layered (W3 / LLEE4, after a fallback
-# round); the 1-chart's was (W2+W3 / LLEE1+LLEE4) while each round
-# eliminated one loop, and is layered since a round eliminates every
-# innermost loop it meets
+# two charts where decide_lee holds, as exhaustive_lee does, and once
+# recorded unlayered witnesses: the 1-chart's (W2+W3 / LLEE1+LLEE4) while each
+# round eliminated one loop, the 6-vertex chart's (W3 / LLEE4) while a round
+# that met no innermost loop eliminated one without retiring its body; both
+# are layered since every eliminated loop retires its body
 UNLAYERED_CASES = {
     "onechart": lambda: semantics.onechart_of(
         parse_star_expr("(c* + (1*.b + a**.1*))*.0 + 0.b**")),
@@ -282,12 +283,7 @@ def test_decide_lee_is_right_where_its_recording_is_unlayered(case):
     assert not has_infinite_path(current)
 
 
-@pytest.mark.parametrize("case", [
-    "onechart",
-    pytest.param("six_vertices", marks=pytest.mark.xfail(
-        strict=True, reason="decide_lee's recording is not always layered "
-        "(ROADMAP item 1); the fix removes this marker")),
-])
+@pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))
 def test_decide_lee_records_a_layered_witness_on_the_counterexamples(case):
     c = UNLAYERED_CASES[case]()
     labeling = recording_labeling(c, decide_lee(c).trace)
@@ -310,29 +306,37 @@ def maximal_loop_by_definition(c, v):
     return (frozenset(entries), frozenset(body)) if loops else None
 
 
-def innermost_by_definition(c, v, entries, body):
-    """No body vertex other than v lies on a cycle of the chart that
-    eliminating the loop leaves."""
-    after = eliminate_loop(c, v, entries)
-    out = after.out_index().get
-    on_cycle = {x for x in after.vertices
-                if x in reach(out, [w for _, _, w in after.out(x)])}
-    return (body - {v}).isdisjoint(on_cycle)
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_charts(1, 8))
 def test_maximal_loop_matches_the_definition(c):
     out = c.out_index().get
     for v in sorted(c.vertices):
         assert _maximal_loop(out, c.terminating, v) == maximal_loop_by_definition(c, v)
-    # decide_lee tests loops on charts whose every vertex is reachable
-    r = reachable(c)
-    out = r.out_index().get
-    for v in sorted(r.vertices):
-        loop = _maximal_loop(out, r.terminating, v)
-        if loop is not None:
-            assert _innermost(out, v, *loop) == innermost_by_definition(r, v, *loop)
+
+
+def steps_at_retired_vertices(c, result):
+    """Replay a "holds" trace and count the steps whose vertex lies in
+    B \\ {v} for the body B of an earlier step's loop at v."""
+    current, retired, count = reachable(c), set(), 0
+    for step in result.trace.steps:
+        count += step.vertex in retired
+        body = loop_subchart_generated(current, step.vertex, step.entry_set).vertices
+        retired |= body - {step.vertex}
+        current = eliminate_loop(current, step.vertex, step.entry_set)
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts(1, 8))
+@example(UNLAYERED_CASES["onechart"]())
+@example(UNLAYERED_CASES["six_vertices"]())
+def test_decide_lee_eliminates_at_a_retired_vertex_only_as_a_fallback(c):
+    """The invariant that makes every recording layered: no step is at a
+    vertex retired by an earlier step, unless it is counted as a
+    fallback."""
+    result = decide_lee(c)
+    if result.holds:
+        assert steps_at_retired_vertices(c, result) <= result.fallbacks
 
 
 def check_loop_chart_on_a_chart(c):
@@ -374,12 +378,25 @@ def test_loop_report_on_the_adjacency_matches_the_chart(c):
 
 def test_the_seeded_sweep_slice():
     """The first 2,000 random charts and 300 random expressions of
-    tests/lee_sweep.py: every verdict is the oracle's, and one recording is
-    not layered."""
+    tests/lee_sweep.py: every verdict is the oracle's, every recording is
+    layered, and no run falls back to a retired vertex."""
     counts = lee_sweep.sweep(charts=2000, exprs=300, large=False)
     assert counts["oracle_runs"] == 1344
     assert counts["oracle_disagreements"] == []
-    assert counts["unlayered"] == ["1-chart of ((0*.(c*.b)**)*.(a.c.0))*"]
+    assert counts["unlayered"] == []
+    assert counts["fallbacks"] == 0
+
+
+def test_decide_lee_takes_linear_budget_on_large_one_charts():
+    """The 1-charts of the sweep's large expressions hold within four units
+    of budget per vertex, with no fallback and a layered recording."""
+    for e in lee_sweep.large_exprs():
+        c = semantics.onechart_of(e)
+        result = decide_lee(c, budget=4 * len(c.vertices))
+        assert result.holds and result.fallbacks == 0
+        labeling = recording_labeling(c, result.trace)
+        assert validate_llee(labeling).valid
+        assert validate_llee_alt(labeling).valid
 
 
 def counters(result):
