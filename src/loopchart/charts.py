@@ -221,6 +221,30 @@ def _cycle(out, roots, allowed) -> Optional[list[int]]:
     return None
 
 
+def walk(out, root):
+    """One depth-first search from `root`: a set-like view of the vertices
+    it reaches, and the heads of its back edges, the transitions to a
+    vertex on the search path.  A cycle is reachable iff there is a back
+    edge, and one avoids `root` iff a back edge has another head."""
+    on_path = {root: True}  # False once a vertex is finished
+    heads = set()
+    stack = [(root, iter(out(root) or ()))]
+    while stack:
+        v, it = stack[-1]
+        for _, _, w in it:
+            state = on_path.get(w)
+            if state is None:
+                on_path[w] = True
+                stack.append((w, iter(out(w) or ())))
+                break
+            if state:
+                heads.add(w)
+        else:
+            on_path[v] = False
+            stack.pop()
+    return on_path.keys(), heads
+
+
 def induced_of(c: Chart) -> Chart:
     """Compile the empty steps away: a-transitions after any 1-prefix,
     termination through 1-paths.  Vertex set and start are unchanged

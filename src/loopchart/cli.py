@@ -16,7 +16,7 @@ from . import bisim, charts, lee, semantics
 from .charts import Chart, EntryBodyLabeling, SchemaError
 from .syntax import (
     IDENT_RE, Act, One, ParseError, Prod, Star, StarExpr, Sum, Zero,
-    parse_star_expr, project, render,
+    live_projection, parse_star_expr, project, render,
 )
 
 
@@ -71,13 +71,13 @@ def verify_p1(e: StarExpr) -> VerifyReport:
     its hits and misses.  Every report gets its own statistics and failure."""
     one = semantics.closure_of(e, semantics.labeled_steps_stacked)
     plain = semantics.closure_of(e, semantics.steps_star)
-    projected = [project(x) for x in one.exprs]
-    stats, failure = _p1_verdict(one.structure, plain.structure,
-                                 tuple(plain.ids.get(image, -1) for image in projected))
+    # a projection that is not alive is no chart vertex: None maps to -1
+    images = tuple(plain.ids.get(live_projection(x), -1) for x in one.exprs)
+    stats, failure = _p1_verdict(one.structure, plain.structure, images)
     if failure is not None:
         failure = dict(failure)
         if failure["kind"] == "projection-misses-chart":
-            failure["projected"] = render(projected[failure["vertex"]])
+            failure["projected"] = render(project(one.exprs[failure["vertex"]]))
     return VerifyReport(render(e), "p1", failure is None, dict(stats), failure)
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .charts import (
     Chart, EntryBodyLabeling, Transition, UnknownVertex, _cycle,
-    canonical_key, doomed, has_infinite_path, reach, reachable,
+    canonical_key, doomed, has_infinite_path, reach, reachable, walk,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -106,16 +106,20 @@ def check_loop_chart(c: Chart) -> LoopReport:
 def _loop_report(steps, start: int, terminating: frozenset[int]) -> LoopReport:
     """L1-L3 on the part from `start` of the chart whose transitions
     `steps(v)` gives in sorted order, with terminating vertices
-    `terminating`."""
-    seen = set(reach(steps, [start]))
+    `terminating`, from one depth-first walk from `start`: L1 holds iff
+    the walk has a back edge, L2 iff none has a head other than `start`,
+    and L3 iff it reaches no terminating vertex but `start`.  Only a
+    failing L2 takes a second search, for the cycle it reports.  The walk
+    shares no code with the search that finds loops (`_maximal_loop`)."""
+    seen, heads = walk(steps, start)
     others = seen - {start}
     violations = []
-    if _cycle(steps, [start], seen) is None:
+    if not heads:
         violations.append({"condition": "L1",
                            "detail": "no cycle reachable from the start"})
-    cycle = _cycle(steps, sorted(others), others)
-    if cycle is not None:
-        violations.append({"condition": "L2", "cycle": cycle,
+    if heads - {start}:
+        violations.append({"condition": "L2",
+                           "cycle": _cycle(steps, sorted(others), others),
                            "detail": "cycle avoiding the start vertex"})
     for v in sorted(others & terminating):
         violations.append({"condition": "L3", "vertex": v,
@@ -226,11 +230,12 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     back to the live retired vertices, in order, and eliminate the first
     loop it finds there, which keeps the verdict sound.
 
-    A run edits one copy of the reachable chart's adjacency.  Each
-    elimination checks L1-L3 on it, with v's transitions cut down to the
-    entries, as `eliminate_loop` checks the loop subchart, and then drops
-    the entries from v's list.  The live vertices are found with one
-    `reach` from the start per round.
+    A run edits a copy of the chart's adjacency, of which only the part
+    reachable from the start counts.  Each elimination checks L1-L3 on it,
+    with v's transitions cut down to the entries, as `eliminate_loop`
+    checks the loop subchart, and then drops the entries from v's list.
+    One depth-first walk from the start per round finds the live vertices
+    and whether a cycle remains among them.
 
     The budget bounds the search: each vertex pass costs one unit, and so
     does each loop elimination, with its check.  Exceeding it raises
@@ -239,59 +244,55 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     retired vertex, and the budget used."""
     if budget is None:
         budget = _budget_default()
-    result = LeeResult(False)
+    # the lists are replaced, never modified, so the chart's stay intact
+    index = dict(c.out_index())
+    out = index.get
+    terminating = c.terminating
+    retired: set[int] = set()
+    steps: list[EliminationStep] = []
+    rounds = passes = eliminations = fallbacks = 0
 
     def spend() -> None:
-        if result.checks >= budget:
+        if passes + eliminations >= budget:
             raise SearchBudgetExceeded(
                 f"more than {budget} vertex passes and loop eliminations")
 
-    r = reachable(c)
-    index = {v: list(ts) for v, ts in r.out_index().items()}
-    out = index.get
-    live = r.vertices
-    retired: set[int] = set()
-    steps: list[EliminationStep] = []
-
-    def eliminate(v: int, entry_set: frozenset[Transition],
-                  body: frozenset[int]) -> None:
+    def pass_at(v: int) -> bool:
+        """A vertex pass at v, then the elimination of the loop it finds;
+        whether there was one."""
+        nonlocal passes, eliminations
         spend()
-        result.eliminations += 1
+        passes += 1
+        loop = _maximal_loop(out, terminating, v)
+        if loop is None:
+            return False
+        spend()
+        eliminations += 1
+        entry_set, body = loop
         kept = index[v]
         # with only the entries left at v, the part from v is the loop subchart
         index[v] = [t for t in kept if t in entry_set]
-        report = _loop_report(out, v, r.terminating)
+        report = _loop_report(out, v, terminating)
         if not report.ok:
             raise NotALoopSubchart(report)
         index[v] = [t for t in kept if t not in entry_set]
         steps.append(EliminationStep(v, entry_set))
         retired.update(body - {v})
+        return True
 
-    def loop_at(v: int):
-        spend()
-        result.vertex_passes += 1
-        return _maximal_loop(out, r.terminating, v)
-
-    while _cycle(out, [r.start], r.vertices) is not None:
-        result.rounds += 1
-        eliminated = result.eliminations
+    live, cyclic = walk(out, c.start)
+    while cyclic:
+        rounds += 1
+        eliminated = eliminations
         for v in sorted(live):
-            loop = None if v in retired else loop_at(v)
-            if loop is not None:
-                eliminate(v, *loop)
-        if result.eliminations == eliminated:
-            for v in sorted(retired.intersection(live)):
-                loop = loop_at(v)
-                if loop is not None:
-                    result.fallbacks += 1
-                    eliminate(v, *loop)
-                    break
-            else:
-                return result
-        live = reach(out, [r.start])
-    result.holds = True
-    result.trace = EliminationTrace(steps)
-    return result
+            if v not in retired:
+                pass_at(v)
+        if eliminations == eliminated:
+            if not any(pass_at(v) for v in sorted(retired.intersection(live))):
+                return LeeResult(False, None, rounds, passes, eliminations, fallbacks)
+            fallbacks += 1
+        live, cyclic = walk(out, c.start)
+    return LeeResult(True, EliminationTrace(steps), rounds, passes, eliminations, fallbacks)
 
 
 def _maximal_loop(out, terminating: frozenset[int], v: int
@@ -305,10 +306,13 @@ def _maximal_loop(out, terminating: frozenset[int], v: int
     from v's targets finds the blocked vertices that do.  If that pass
     never meets v, v lies on no cycle and has no loop.  Linear in the size
     of the region v's transitions reach without passing v."""
-    blocked, met = doomed(out, [w for _, _, w in out(v) or ()], {v}, terminating)
+    ts = out(v) or ()
+    blocked, met = doomed(out, [w for _, _, w in ts], {v}, terminating)
     if v not in met:
         return None
-    entries = frozenset(t for t in out(v) or () if t[2] not in blocked)
+    entries = frozenset(t for t in ts if t[2] not in blocked)
+    if len(entries) == len(ts):  # nothing blocked: the pass visited the body
+        return entries, frozenset(met)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
     if v not in body:
         return None

@@ -263,18 +263,39 @@ def sprod(head: Stacked, tail: StarExpr) -> Stacked:
 # ---------------------------------------------------------------------------
 # projection and actions
 
-def project(value: Stacked) -> StarExpr:
-    """Read every stacked layer as an ordinary product, without recursion:
-    peel the layers down to the plain core, then multiply their tails back
-    on, innermost first."""
+def _layers(value: Stacked) -> tuple[StarExpr, list[StarExpr]]:
+    """The plain core under value's stacked layers, and the layers' tails,
+    outermost first."""
     tails = []
     while isinstance(value, (SProd, SStack)):
         tails.append(value.tail)
         value = value.head
     if not isinstance(value, StarExpr):
         raise TypeError(value)
+    return value, tails
+
+
+def project(value: Stacked) -> StarExpr:
+    """Read every stacked layer as an ordinary product, without recursion:
+    peel the layers down to the plain core, then multiply their tails back
+    on, innermost first."""
+    value, tails = _layers(value)
     for tail in reversed(tails):
         value = Prod(value, tail)
+    return value
+
+
+def live_projection(value: Stacked) -> Optional[StarExpr]:
+    """`project(value)` if that node is alive, else None, building nothing:
+    each layer's product is looked up in `Prod`'s intern table.  A live
+    product keeps its factors alive, so if one layer's product is missing,
+    the projection is not alive either."""
+    value, tails = _layers(value)
+    table = Prod._table
+    for tail in reversed(tails):
+        value = table.get((id(value), id(tail)))
+        if value is None:
+            return None
     return value
 
 

@@ -8,9 +8,11 @@ It prints one JSON object: the number of inputs, of "holds" verdicts, of
 oracle runs and of `decide_lee`'s fallback rounds (eliminations at a vertex
 an earlier loop's body retired, the only steps that could make a recording
 unlayered), the inputs whose verdict differs from the oracle's, the inputs
-whose recording is not a layered witness, and a sha256 over every verdict in
-input order, so that two versions of the program can be compared.  pytest
-does not collect this file; `tests/test_lee.py` runs a slice of it.
+whose recording is not a layered witness, a sha256 over every verdict in
+input order and one over every verdict, trace and search counter, so that
+two versions of the program can be compared, and the seconds spent inside
+`decide_lee`.  pytest does not collect this file; `tests/test_lee.py` runs
+a slice of it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import importlib.util
 import json
 import os
 import random
+import time
 
 from loopchart import semantics, syntax
 from loopchart.charts import Chart
@@ -77,13 +80,19 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
         inputs.append(expression_charts(large_exprs()))
     counts = {"inputs": 0, "holds": 0, "oracle_runs": 0, "fallbacks": 0,
               "oracle_disagreements": [], "unlayered": []}
-    verdicts = hashlib.sha256()
+    verdicts, traces = hashlib.sha256(), hashlib.sha256()
+    decide_lee_s = 0.0
     for group in inputs:
         for name, c, oracle in group:
+            began = time.perf_counter()
             result = decide_lee(c)
+            decide_lee_s += time.perf_counter() - began
             counts["inputs"] += 1
             counts["fallbacks"] += result.fallbacks
             verdicts.update(b"1" if result.holds else b"0")
+            traces.update(json.dumps([
+                result.holds, result.trace and result.trace.to_json(), result.rounds,
+                result.vertex_passes, result.eliminations, result.fallbacks]).encode())
             if oracle:
                 counts["oracle_runs"] += 1
                 if exhaustive_lee(c).holds != result.holds:
@@ -94,6 +103,8 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
                 if not (validate_llee(labeling).valid and validate_llee_alt(labeling).valid):
                     counts["unlayered"].append(name)
     counts["verdicts_sha256"] = verdicts.hexdigest()
+    counts["traces_sha256"] = traces.hexdigest()
+    counts["decide_lee_s"] = round(decide_lee_s, 3)
     return counts
 
 

@@ -22,7 +22,9 @@ from loopchart.cli import (
     verify_p1, verify_p2,
 )
 from loopchart.lee import WitnessReport, decide_lee
-from loopchart.syntax import Act, One, Star, Zero, parse_star_expr, project, render
+from loopchart.syntax import (
+    Act, One, Star, Zero, live_projection, parse_star_expr, project, render,
+)
 
 from conftest import FIXTURES
 
@@ -227,6 +229,16 @@ def test_p1_reports_equal_the_uncached_check_on_random_structures(fresh_p2_memo,
     assert set(failures) == {"pass", "projection-misses-chart", "start",
                              "termination", "forth", "back"}
     assert cli._p1_verdict.cache_info().hits >= 100
+
+
+def test_live_projection_gives_the_chart_vertex_of_the_built_projection():
+    """Looked up before `project` builds anything, each 1-chart vertex's
+    projection has the chart vertex id of the built projection, or -1."""
+    for e in list(corpus_exprs()) + list(sample_exprs(["a", "b", "c"], 200, 40, 7)):
+        one = semantics.closure_of(e, semantics.labeled_steps_stacked)
+        plain = semantics.closure_of(e, semantics.steps_star)
+        looked_up = [plain.ids.get(live_projection(x), -1) for x in one.exprs]
+        assert looked_up == [plain.ids.get(project(x), -1) for x in one.exprs]
 
 
 def test_p1_checks_once_per_recent_structure(fresh_p2_memo, monkeypatch):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loopchart import bisim, semantics
-from loopchart.charts import Chart, find_cycle, has_infinite_path, reachable
+from loopchart.charts import (
+    Chart, _cycle, find_cycle, has_infinite_path, reach, reachable, walk,
+)
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
@@ -356,8 +358,20 @@ def check_loop_chart_on_a_chart(c):
     return LoopReport(not violations, violations)
 
 
+def loop_chart_case(n, transitions, terminating=()):
+    return Chart(frozenset("ab"), 0, frozenset(range(n)),
+                 frozenset(transitions), frozenset(terminating))
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_charts(1, 8))
+@example(loop_chart_case(1, [(0, "a", 0)]))  # a self-loop at the start only
+@example(loop_chart_case(2, [(0, "a", 1), (1, "b", 0)], [0]))  # terminating start
+@example(loop_chart_case(3, [(0, "a", 1), (1, "a", 0), (0, "b", 2)]))  # dead end
+@example(loop_chart_case(3, [(0, "a", 1), (1, "a", 2), (2, "a", 1),
+                             (2, "b", 0)]))  # a cycle avoiding the start (L2)
+@example(loop_chart_case(2, [(0, "a", 1), (1, "a", 0)], [1]))  # termination behind (L3)
+@example(loop_chart_case(3, [(0, "a", 1), (1, "b", 2)]))  # no way back (L1)
 def test_loop_report_on_the_adjacency_matches_the_chart(c):
     """check_loop_chart reports what the chart-level check reports, and on
     an adjacency whose steps at v are cut down to an entry set, the report
@@ -376,15 +390,43 @@ def test_loop_report_on_the_adjacency_matches_the_chart(c):
             assert report == check_loop_chart(loop_subchart_generated(c, v, entry_set))
 
 
+def assert_walk_matches_its_definition(c):
+    out = c.out_index().get
+    live, heads = walk(out, c.start)
+    others = set(live) - {c.start}
+    assert set(live) == set(reach(out, [c.start]))
+    assert bool(heads) == (_cycle(out, [c.start], c.vertices) is not None)
+    assert bool(heads - {c.start}) == (_cycle(out, sorted(others), others) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts(1, 8))
+def test_the_round_walk_matches_its_definition(c):
+    """The walk that starts each round of decide_lee reaches the vertices a
+    breadth-first search reaches, and has a back edge iff a cycle is
+    reachable, one with a head other than the start iff a cycle avoids it:
+    on the chart and on every chart a "holds" trace passes through."""
+    assert_walk_matches_its_definition(c)
+    result = decide_lee(c)
+    if result.holds:
+        current = reachable(c)
+        for step in result.trace.steps:
+            current = eliminate_loop(current, step.vertex, step.entry_set)
+            assert_walk_matches_its_definition(current)
+
+
 def test_the_seeded_sweep_slice():
     """The first 2,000 random charts and 300 random expressions of
     tests/lee_sweep.py: every verdict is the oracle's, every recording is
-    layered, and no run falls back to a retired vertex."""
+    layered, no run falls back to a retired vertex, and the verdicts,
+    traces and search counters are the ones recorded."""
     counts = lee_sweep.sweep(charts=2000, exprs=300, large=False)
     assert counts["oracle_runs"] == 1344
     assert counts["oracle_disagreements"] == []
     assert counts["unlayered"] == []
     assert counts["fallbacks"] == 0
+    assert counts["traces_sha256"] == (
+        "641578e871712fdbcf17c49059794584f32ff20d0ca76860f8ee84406a8753aa")
 
 
 def test_decide_lee_takes_linear_budget_on_large_one_charts():
