@@ -180,69 +180,49 @@ def reachable(c: Chart) -> Chart:
 
 def has_infinite_path(c: Chart) -> bool:
     """True iff a cycle is reachable from the start (finite chart)."""
-    return _cycle(c.out_index().get, [c.start], c.vertices) is not None
+    return bool(walk(c.out_index().get, [c.start])[1])
 
 
 def find_cycle(c: Chart, allowed: frozenset[int]) -> Optional[list[int]]:
-    """Some cycle lying entirely within `allowed` vertices, as a vertex list."""
-    return _cycle(c.out_index().get, sorted(allowed), allowed)
+    """The first cycle within `allowed` that a depth-first search from
+    `sorted(allowed)` meets, as a vertex list, or None."""
+    out = c.out_index().get
+    return walk(lambda v: out(v) if v in allowed else None, sorted(allowed))[2]
 
 
-def _cycle(out, roots, allowed) -> Optional[list[int]]:
-    """The first cycle through `allowed` vertices that a depth-first search
-    from `roots` meets, following transitions in the order `out` gives."""
-    on_stack: dict[int, bool] = {}  # False once a vertex is finished
-    parent: dict[int, int] = {}
+def walk(out, roots):
+    """One depth-first search from each of `roots` not yet reached, in
+    turn, following the steps `out` gives in order.  Returns a set-like
+    view of the vertices it reaches; the heads of its back edges, the
+    steps to a vertex on the search path; and the first cycle it meets,
+    the search path from the head of the first back edge, or None.  A
+    cycle is reachable iff there is a back edge, and from a single root,
+    one avoids the root iff a back edge has another head."""
+    on_path = {}  # False once a vertex is finished
+    heads = set()
+    cycle = None
     for root in roots:
-        if root in on_stack:
+        if root in on_path:
             continue
-        on_stack[root] = True
+        on_path[root] = True
         stack = [(root, iter(out(root) or ()))]
         while stack:
             v, it = stack[-1]
             for _, _, w in it:
-                if w not in allowed:
-                    continue
-                state = on_stack.get(w)
+                state = on_path.get(w)
                 if state is None:
-                    on_stack[w] = True
-                    parent[w] = v
+                    on_path[w] = True
                     stack.append((w, iter(out(w) or ())))
                     break
                 if state:
-                    cycle = [v]
-                    while cycle[-1] != w:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
+                    if not heads:
+                        path = [x for x, _ in stack]
+                        cycle = path[path.index(w):]
+                    heads.add(w)
             else:
-                on_stack[v] = False
+                on_path[v] = False
                 stack.pop()
-    return None
-
-
-def walk(out, root):
-    """One depth-first search from `root`: a set-like view of the vertices
-    it reaches, and the heads of its back edges, the transitions to a
-    vertex on the search path.  A cycle is reachable iff there is a back
-    edge, and one avoids `root` iff a back edge has another head."""
-    on_path = {root: True}  # False once a vertex is finished
-    heads = set()
-    stack = [(root, iter(out(root) or ()))]
-    while stack:
-        v, it = stack[-1]
-        for _, _, w in it:
-            state = on_path.get(w)
-            if state is None:
-                on_path[w] = True
-                stack.append((w, iter(out(w) or ())))
-                break
-            if state:
-                heads.add(w)
-        else:
-            on_path[v] = False
-            stack.pop()
-    return on_path.keys(), heads
+    return on_path.keys(), heads, cycle
 
 
 def induced_of(c: Chart) -> Chart:

@@ -37,6 +37,7 @@ class VerifyReport:
 
 
 P2_MEMO_SIZE = 128
+BUDGET_ENV = "LOOPCHART_BUDGET"  # read by `loopchart lee` only
 
 
 @functools.lru_cache(maxsize=P2_MEMO_SIZE)
@@ -290,7 +291,6 @@ _EXIT_2 = {
     ParseError: "parse error: {}",
     SchemaError: "schema error: {}",
     lee.SearchBudgetExceeded: "search budget exceeded: {}",
-    lee.InvalidBudget: "usage error: {}",
     RecursionError: "error: input nested too deeply (recursion limit reached)",
     MemoryError: "error: out of memory",
     semantics.StateExplosion: "state explosion: {}",
@@ -321,7 +321,13 @@ def run_cli(argv: Sequence[str]) -> int:
             collapsed, _ = bisim.collapse(_strip(_load_chart_arg(args.input)))
             _emit(collapsed, fmt, f"collapse: {_chart_summary(collapsed)}")
         elif args.command == "lee":
-            result = lee.decide_lee(_strip(_load_chart_arg(args.input)))
+            c = _strip(_load_chart_arg(args.input))
+            budget = os.environ.get(BUDGET_ENV, "").strip() or str(lee.DEFAULT_BUDGET)
+            if not budget.isdecimal():
+                print(f"usage error: {BUDGET_ENV} must be a non-negative integer, "
+                      f"got {budget!r}", file=sys.stderr)
+                return 2
+            result = lee.decide_lee(c, int(budget))
             if fmt == "json":
                 print(json.dumps({
                     "holds": result.holds,

@@ -4,18 +4,16 @@ layered entry/body witness validation (two independent validators)."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
 from .charts import (
-    Chart, EntryBodyLabeling, Transition, UnknownVertex, _cycle,
-    canonical_key, doomed, has_infinite_path, reach, reachable, walk,
+    Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key, doomed,
+    has_infinite_path, reach, reachable, walk,
 )
 
 DEFAULT_BUDGET = 200_000
-BUDGET_ENV = "LOOPCHART_BUDGET"
 
 
 class EmptyEntrySet(Exception):
@@ -36,10 +34,6 @@ class TraceReplayError(Exception):
 
 class SearchBudgetExceeded(Exception):
     pass
-
-
-class InvalidBudget(ValueError):
-    """The budget environment variable is not a non-negative integer."""
 
 
 @dataclass
@@ -109,17 +103,19 @@ def _loop_report(steps, start: int, terminating: frozenset[int]) -> LoopReport:
     `terminating`, from one depth-first walk from `start`: L1 holds iff
     the walk has a back edge, L2 iff none has a head other than `start`,
     and L3 iff it reaches no terminating vertex but `start`.  Only a
-    failing L2 takes a second search, for the cycle it reports.  The walk
-    shares no code with the search that finds loops (`_maximal_loop`)."""
-    seen, heads = walk(steps, start)
+    failing L2 takes a second walk, from the other vertices in order with
+    `start`'s steps cut, for the first cycle that avoids `start`.  The
+    walks share no code with the search that finds loops
+    (`_maximal_loop`)."""
+    seen, heads, _ = walk(steps, [start])
     others = seen - {start}
     violations = []
     if not heads:
         violations.append({"condition": "L1",
                            "detail": "no cycle reachable from the start"})
     if heads - {start}:
-        violations.append({"condition": "L2",
-                           "cycle": _cycle(steps, sorted(others), others),
+        cycle = walk(lambda v: None if v == start else steps(v), sorted(others))[2]
+        violations.append({"condition": "L2", "cycle": cycle,
                            "detail": "cycle avoiding the start vertex"})
     for v in sorted(others & terminating):
         violations.append({"condition": "L3", "vertex": v,
@@ -180,16 +176,7 @@ def eliminate_loop(c: Chart, v: int, entry_set: frozenset[Transition]) -> Chart:
 # ---------------------------------------------------------------------------
 # the LEE decision
 
-def _budget_default() -> int:
-    value = os.environ.get(BUDGET_ENV, "").strip()
-    if not value:
-        return DEFAULT_BUDGET
-    if not value.isdecimal():
-        raise InvalidBudget(f"{BUDGET_ENV} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
+def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
     """Decide LEE by greedy elimination of maximal loops, without
     backtracking.  Empty-step labels, if present, are treated as ordinary
     labels.
@@ -242,8 +229,6 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
     SearchBudgetExceeded.  The result counts the rounds, vertex passes,
     eliminations (one per trace step), the rounds that fell back to a
     retired vertex, and the budget used."""
-    if budget is None:
-        budget = _budget_default()
     # the lists are replaced, never modified, so the chart's stay intact
     index = dict(c.out_index())
     out = index.get
@@ -280,7 +265,7 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
         retired.update(body - {v})
         return True
 
-    live, cyclic = walk(out, c.start)
+    live, cyclic, _ = walk(out, [c.start])
     while cyclic:
         rounds += 1
         eliminated = eliminations
@@ -291,7 +276,7 @@ def decide_lee(c: Chart, budget: Optional[int] = None) -> LeeResult:
             if not any(pass_at(v) for v in sorted(retired.intersection(live))):
                 return LeeResult(False, None, rounds, passes, eliminations, fallbacks)
             fallbacks += 1
-        live, cyclic = walk(out, c.start)
+        live, cyclic, _ = walk(out, [c.start])
     return LeeResult(True, EliminationTrace(steps), rounds, passes, eliminations, fallbacks)
 
 
@@ -397,7 +382,7 @@ def validate_llee(labeling: EntryBodyLabeling) -> WitnessReport:
     violations = []
 
     body_steps = _body_out(c, marking).get
-    cycle = _cycle(body_steps, sorted(c.vertices), c.vertices)
+    cycle = walk(body_steps, sorted(c.vertices))[2]
     if cycle is not None:
         violations.append({"condition": "W1", "cycle": cycle,
                            "detail": "infinite body-step path"})
@@ -434,7 +419,7 @@ def validate_llee_alt(labeling: EntryBodyLabeling) -> WitnessReport:
     violations = []
 
     body_steps = _body_out(c, marking).get
-    if _cycle(body_steps, sorted(c.vertices), c.vertices) is not None:
+    if walk(body_steps, sorted(c.vertices))[1]:
         violations.append({"condition": "LLEE2",
                            "detail": "body steps do not terminate"})
 

@@ -9,10 +9,12 @@ oracle runs and of `decide_lee`'s fallback rounds (eliminations at a vertex
 an earlier loop's body retired, the only steps that could make a recording
 unlayered), the inputs whose verdict differs from the oracle's, the inputs
 whose recording is not a layered witness, a sha256 over every verdict in
-input order and one over every verdict, trace and search counter, so that
-two versions of the program can be compared, and the seconds spent inside
-`decide_lee`.  pytest does not collect this file; `tests/test_lee.py` runs
-a slice of it.
+input order, one over every verdict, trace and search counter, and one over
+every report (the first cycle `find_cycle` meets on all vertices, the L1-L3
+violations of `check_loop_chart`, and for a "holds" verdict both
+validators' violations on the recording), so that two versions of the
+program can be compared, and the seconds spent inside `decide_lee`.
+pytest does not collect this file; `tests/test_lee.py` runs a slice of it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import random
 import time
 
 from loopchart import semantics, syntax
-from loopchart.charts import Chart
+from loopchart.charts import Chart, find_cycle
 from loopchart.cli import sample_exprs
 from loopchart.lee import (
-    decide_lee, exhaustive_lee, recording_labeling, validate_llee, validate_llee_alt,
+    check_loop_chart, decide_lee, exhaustive_lee, recording_labeling, validate_llee,
+    validate_llee_alt,
 )
 
 RANDOM_CHARTS = 20_000
@@ -80,7 +83,7 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
         inputs.append(expression_charts(large_exprs()))
     counts = {"inputs": 0, "holds": 0, "oracle_runs": 0, "fallbacks": 0,
               "oracle_disagreements": [], "unlayered": []}
-    verdicts, traces = hashlib.sha256(), hashlib.sha256()
+    verdicts, traces, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     decide_lee_s = 0.0
     for group in inputs:
         for name, c, oracle in group:
@@ -93,6 +96,8 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
             traces.update(json.dumps([
                 result.holds, result.trace and result.trace.to_json(), result.rounds,
                 result.vertex_passes, result.eliminations, result.fallbacks]).encode())
+            reports.update(json.dumps([
+                find_cycle(c, c.vertices), check_loop_chart(c).violations]).encode())
             if oracle:
                 counts["oracle_runs"] += 1
                 if exhaustive_lee(c).holds != result.holds:
@@ -100,10 +105,13 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
             if result.holds:
                 counts["holds"] += 1
                 labeling = recording_labeling(c, result.trace)
-                if not (validate_llee(labeling).valid and validate_llee_alt(labeling).valid):
+                direct, alt = validate_llee(labeling), validate_llee_alt(labeling)
+                reports.update(json.dumps([direct.violations, alt.violations]).encode())
+                if not (direct.valid and alt.valid):
                     counts["unlayered"].append(name)
     counts["verdicts_sha256"] = verdicts.hexdigest()
     counts["traces_sha256"] = traces.hexdigest()
+    counts["reports_sha256"] = reports.hexdigest()
     counts["decide_lee_s"] = round(decide_lee_s, 3)
     return counts
 

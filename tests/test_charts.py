@@ -11,7 +11,7 @@ from loopchart import semantics
 from loopchart.charts import (
     EMPTY, Chart, EntryBodyLabeling, SchemaError, doomed,
     find_cycle, from_json, has_infinite_path, induced_of, reach, reachable,
-    to_dot, to_json,
+    to_dot, to_json, walk,
 )
 from loopchart.syntax import Act, parse_star_expr
 
@@ -222,8 +222,8 @@ def naive_has_cycle_within(c, allowed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_charts())
-def test_index_and_traversals_agree_with_naive_scans(c):
+@given(small_charts(), st.frozensets(st.integers(0, 7)))
+def test_index_and_traversals_agree_with_naive_scans(c, drawn):
     for v in c.vertices:
         assert c.out(v) == sorted(t for t in c.transitions if t[0] == v)
     seen = naive_reachable_vertices(c)
@@ -232,11 +232,17 @@ def test_index_and_traversals_agree_with_naive_scans(c):
     assert r.transitions == frozenset(t for t in c.transitions if t[0] in seen)
     assert r.terminating == c.terminating & seen
     assert has_infinite_path(c) == naive_has_cycle_within(c, seen)
-    cycle = find_cycle(c, c.vertices)
-    assert (cycle is not None) == naive_has_cycle_within(c, c.vertices)
-    if cycle is not None:
-        steps = {(v, w) for v, _, w in c.transitions}
-        assert all((v, w) in steps for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+    steps = {(v, w) for v, _, w in c.transitions}
+    for allowed in (c.vertices, c.vertices & drawn):
+        cycle = find_cycle(c, allowed)
+        assert (cycle is not None) == naive_has_cycle_within(c, allowed)
+        if cycle is not None:
+            assert set(cycle) <= allowed
+            assert all((v, w) in steps for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+    # walk from several roots: its first cycle starts at a back edge's head
+    _, heads, cycle = walk(c.out_index().get, sorted(c.vertices))
+    assert (cycle is None) == (not heads)
+    assert cycle is None or cycle[0] in heads
     # doomed: reaches, without passing a stop, a vertex on a cycle avoiding
     # the stops or a marked vertex other than a stop; with the start as the
     # stop and its targets as roots, as decide_lee calls it, a terminating

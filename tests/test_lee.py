@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from loopchart import bisim, semantics
 from loopchart.charts import (
-    Chart, _cycle, find_cycle, has_infinite_path, reach, reachable, walk,
+    Chart, find_cycle, has_infinite_path, reach, reachable, walk,
 )
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
@@ -19,6 +19,7 @@ from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
 
 import lee_sweep
 from conftest import load_fixture
+from test_charts import naive_has_cycle_within
 
 
 def trace(*steps):
@@ -104,6 +105,15 @@ def test_decide_lee_trace_replays(chart_g0):
 def test_decide_lee_budget(chart_f):
     with pytest.raises(SearchBudgetExceeded):
         decide_lee(chart_f, budget=1)
+
+
+def test_decide_lee_ignores_the_budget_variable(monkeypatch, chart_f):
+    """Only `loopchart lee` reads LOOPCHART_BUDGET; a library call takes
+    its budget from its argument."""
+    expected = decide_lee(chart_f)
+    for value in ("1", "abc"):
+        monkeypatch.setenv("LOOPCHART_BUDGET", value)
+        assert decide_lee(chart_f) == expected
 
 
 def assert_counters_hold_together(result, c):
@@ -392,11 +402,10 @@ def test_loop_report_on_the_adjacency_matches_the_chart(c):
 
 def assert_walk_matches_its_definition(c):
     out = c.out_index().get
-    live, heads = walk(out, c.start)
-    others = set(live) - {c.start}
+    live, heads, _ = walk(out, [c.start])
     assert set(live) == set(reach(out, [c.start]))
-    assert bool(heads) == (_cycle(out, [c.start], c.vertices) is not None)
-    assert bool(heads - {c.start}) == (_cycle(out, sorted(others), others) is not None)
+    assert bool(heads) == naive_has_cycle_within(c, live)
+    assert bool(heads - {c.start}) == naive_has_cycle_within(c, live - {c.start})
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,7 +428,8 @@ def test_the_seeded_sweep_slice():
     """The first 2,000 random charts and 300 random expressions of
     tests/lee_sweep.py: every verdict is the oracle's, every recording is
     layered, no run falls back to a retired vertex, and the verdicts,
-    traces and search counters are the ones recorded."""
+    traces, search counters and reported cycles and violations are the
+    ones recorded."""
     counts = lee_sweep.sweep(charts=2000, exprs=300, large=False)
     assert counts["oracle_runs"] == 1344
     assert counts["oracle_disagreements"] == []
@@ -427,6 +437,8 @@ def test_the_seeded_sweep_slice():
     assert counts["fallbacks"] == 0
     assert counts["traces_sha256"] == (
         "641578e871712fdbcf17c49059794584f32ff20d0ca76860f8ee84406a8753aa")
+    assert counts["reports_sha256"] == (
+        "2eb434e57ca5c6d193694a82e717e5fd5ff67ca29d9ef4fa03c0dd4f2d6c1a96")
 
 
 def test_decide_lee_takes_linear_budget_on_large_one_charts():
