@@ -124,18 +124,23 @@ def reach(steps, roots, stop=frozenset()) -> list:
 
 
 def doomed(steps, roots, stop, marked):
-    """The set of vertices `reach(steps, roots, stop)` visits that reach,
-    without passing a member of `stop`, a cycle or a `marked` vertex, and a
-    set-like view of all the vertices it visits.  One depth-first search:
-    a vertex is doomed if it is marked, or if it has a step to a vertex on
-    the current search path or to a doomed vertex.  A finished vertex's
-    status is final: if it is not doomed, every vertex it reaches is
-    finished and not doomed.  Members of `stop` are never expanded and
-    never doomed."""
+    """Which of `roots` are doomed: reach, without passing a member of
+    `stop`, a cycle or a `marked` vertex.  Returns a set of doomed vertices
+    that holds exactly the doomed roots, and a set-like view of the visited
+    vertices, which holds all that the roots not doomed reach without
+    passing `stop`.  One depth-first search per root: a vertex is doomed
+    once reached if it is marked, or once it steps to the search path or
+    to a doomed vertex; then the whole path is doomed and finished, and the
+    search moves to the next root.  A vertex finished otherwise was fully
+    explored.  Members of `stop` are never expanded and never doomed."""
     found = set()
     on_path: dict = {}  # False once a vertex is finished
     for root in roots:
         if root in on_path:
+            continue
+        if root in marked and root not in stop:
+            on_path[root] = False
+            found.add(root)
             continue
         on_path[root] = True
         stack = [(root, iter(() if root in stop else steps(root) or ()))]
@@ -147,16 +152,19 @@ def doomed(steps, roots, stop, marked):
                 if state is None:
                     on_path[w] = True
                     stack.append((w, iter(() if w in stop else steps(w) or ())))
-                    break
-                if state or w in found:
-                    found.add(v)
+                    if w in stop or w not in marked:
+                        break
+                elif not state and w not in found:
+                    continue
+                # w is doomed, and so is every vertex on the path to it
+                for x, _ in stack:
+                    on_path[x] = False
+                    found.add(x)
+                stack.clear()
+                break
             else:
                 on_path[v] = False
                 stack.pop()
-                if v in marked and v not in stop:
-                    found.add(v)
-                if stack and v in found:
-                    found.add(stack[-1][0])
     return found, on_path.keys()
 
 

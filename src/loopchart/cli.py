@@ -334,7 +334,7 @@ def run_cli(argv: Sequence[str]) -> int:
                     "trace": (json.loads(result.trace.to_json())
                               if result.trace else None),
                     "search": {name: getattr(result, name) for name in (
-                        "rounds", "vertex_passes", "eliminations", "fallbacks")}}))
+                        "rounds", "vertex_passes", "eliminations")}}))
             else:
                 print("LEE: holds" if result.holds else "LEE: fails")
             return 0 if result.holds else 1

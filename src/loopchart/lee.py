@@ -33,7 +33,8 @@ class TraceReplayError(Exception):
 
 
 class SearchBudgetExceeded(Exception):
-    pass
+    def __init__(self, budget: int):
+        super().__init__(f"more than {budget} vertex passes and loop eliminations")
 
 
 @dataclass
@@ -68,13 +69,14 @@ class EliminationTrace:
 
 @dataclass
 class LeeResult:
+    """The verdict, the trace when LEE holds, and `decide_lee`'s counters:
+    rounds, vertex passes (one per vertex and round at most), eliminations."""
+
     holds: bool
     trace: Optional[EliminationTrace] = None
-    # search counters of decide_lee
     rounds: int = 0
     vertex_passes: int = 0
     eliminations: int = 0
-    fallbacks: int = 0
 
     @property
     def checks(self) -> int:
@@ -205,17 +207,37 @@ def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
     Call a vertex *retired* once it lies in B \\ {v}, where B is the body
     (the vertex set) of a loop eliminated at v.  Each round scans the live
     vertices in order, skips the retired ones, and eliminates the maximal
-    loop at every other vertex that has one, retiring its body.  If no
-    step eliminates at a retired vertex, the recording of the trace is a
+    loop at every other vertex that has one, retiring its body.  So no step
+    eliminates at a retired vertex, and the recording of the trace is a
     layered witness: an entry at a vertex of B \\ {v} was eliminated
     before the loop at v, so its level is lower (W3); every transition from
     B \\ {v} stays a body step, so the subchart the loop generates in the
     recording is the one its elimination checked (W2); and the run ends
     without cycles, while every vertex an elimination cuts off from the
-    start lies in B \\ {v}, which holds no cycle avoiding v (W1).  Only
-    when a scan eliminates nothing while a cycle remains does the run fall
-    back to the live retired vertices, in order, and eliminate the first
-    loop it finds there, which keeps the verdict sound.
+    start lies in B \\ {v}, which holds no cycle avoiding v (W1).
+
+    A scan that eliminates nothing ends the run with "fails", since then no
+    live vertex has a loop:
+    - Lemma: if the elimination of a loop at v retired u, and u has a loop
+      now, so does v.  All that u reaches without passing v lay in that
+      loop's body, so it holds no cycle and no terminating vertex but v
+      (L2, L3), and it still does, as transitions have only been removed
+      since.  So every cycle through u passes v.  Say v steps to x, and x
+      reaches, without passing v, a cycle or a terminating vertex other
+      than v.  If u lies on that path or cycle, the above excludes it.  If
+      not, x lies in the subchart generated by an entry of u's loop that
+      leads back to u, since v lies on the way back, and so does the path:
+      L2 or L3 of u's loop excludes it.  So every step of v is admissible,
+      one leads back to v through u, and v has a loop.
+    - Retirement is well-founded: a scan skips retired vertices, so the
+      vertex that retired u was not retired then, and can only have been
+      retired later.
+    - Say a scan eliminated nothing, and a live vertex has a loop.  Going
+      from it to the vertex that retired it, while there is one, ends at a
+      vertex that is not retired and, by the lemma, has a loop.  It is
+      live, as each vertex on the way lies on a cycle through the one
+      before.  The scan left the chart as it was, so it met that vertex
+      and eliminated its loop, a contradiction.
 
     A run edits a copy of the chart's adjacency, of which only the part
     reachable from the start counts.  Each elimination checks L1-L3 on it,
@@ -226,58 +248,44 @@ def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
 
     The budget bounds the search: each vertex pass costs one unit, and so
     does each loop elimination, with its check.  Exceeding it raises
-    SearchBudgetExceeded.  The result counts the rounds, vertex passes,
-    eliminations (one per trace step), the rounds that fell back to a
-    retired vertex, and the budget used."""
+    SearchBudgetExceeded."""
     # the lists are replaced, never modified, so the chart's stay intact
     index = dict(c.out_index())
     out = index.get
     terminating = c.terminating
     retired: set[int] = set()
     steps: list[EliminationStep] = []
-    rounds = passes = eliminations = fallbacks = 0
-
-    def spend() -> None:
-        if passes + eliminations >= budget:
-            raise SearchBudgetExceeded(
-                f"more than {budget} vertex passes and loop eliminations")
-
-    def pass_at(v: int) -> bool:
-        """A vertex pass at v, then the elimination of the loop it finds;
-        whether there was one."""
-        nonlocal passes, eliminations
-        spend()
-        passes += 1
-        loop = _maximal_loop(out, terminating, v)
-        if loop is None:
-            return False
-        spend()
-        eliminations += 1
-        entry_set, body = loop
-        kept = index[v]
-        # with only the entries left at v, the part from v is the loop subchart
-        index[v] = [t for t in kept if t in entry_set]
-        report = _loop_report(out, v, terminating)
-        if not report.ok:
-            raise NotALoopSubchart(report)
-        index[v] = [t for t in kept if t not in entry_set]
-        steps.append(EliminationStep(v, entry_set))
-        retired.update(body - {v})
-        return True
-
+    rounds = passes = eliminations = 0
     live, cyclic, _ = walk(out, [c.start])
     while cyclic:
         rounds += 1
         eliminated = eliminations
         for v in sorted(live):
-            if v not in retired:
-                pass_at(v)
+            if v in retired:
+                continue
+            if passes + eliminations >= budget:
+                raise SearchBudgetExceeded(budget)
+            passes += 1
+            loop = _maximal_loop(out, terminating, v)
+            if loop is None:
+                continue
+            if passes + eliminations >= budget:
+                raise SearchBudgetExceeded(budget)
+            eliminations += 1
+            entry_set, body = loop
+            kept = index[v]
+            # with only the entries left at v, the part from v is the loop subchart
+            index[v] = [t for t in kept if t in entry_set]
+            report = _loop_report(out, v, terminating)
+            if not report.ok:
+                raise NotALoopSubchart(report)
+            index[v] = [t for t in kept if t not in entry_set]
+            steps.append(EliminationStep(v, entry_set))
+            retired.update(body - {v})
         if eliminations == eliminated:
-            if not any(pass_at(v) for v in sorted(retired.intersection(live))):
-                return LeeResult(False, None, rounds, passes, eliminations, fallbacks)
-            fallbacks += 1
+            return LeeResult(False, None, rounds, passes, eliminations)
         live, cyclic, _ = walk(out, [c.start])
-    return LeeResult(True, EliminationTrace(steps), rounds, passes, eliminations, fallbacks)
+    return LeeResult(True, EliminationTrace(steps), rounds, passes, eliminations)
 
 
 def _maximal_loop(out, terminating: frozenset[int], v: int
@@ -287,21 +295,20 @@ def _maximal_loop(out, terminating: frozenset[int], v: int
     chart of transitions `out` and terminating vertices `terminating`.
 
     A transition (v, a, w) with w != v is admissible iff w reaches, without
-    passing v, no cycle and no terminating vertex: one depth-first pass
-    from v's targets finds the blocked vertices that do.  If that pass
-    never meets v, v lies on no cycle and has no loop.  Linear in the size
-    of the region v's transitions reach without passing v."""
+    passing v, no cycle and no terminating vertex: one `doomed` pass from
+    v's targets finds the blocked ones and explores the others in full.
+    If it never meets v, v has no loop; if nothing is blocked, it visited
+    the body.  At most linear in the region v's targets reach without
+    passing v."""
     ts = out(v) or ()
     blocked, met = doomed(out, [w for _, _, w in ts], {v}, terminating)
     if v not in met:
         return None
     entries = frozenset(t for t in ts if t[2] not in blocked)
-    if len(entries) == len(ts):  # nothing blocked: the pass visited the body
+    if len(entries) == len(ts):
         return entries, frozenset(met)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
-    if v not in body:
-        return None
-    return entries, body
+    return (entries, body) if v in body else None
 
 
 def exhaustive_lee(c: Chart) -> LeeResult:

@@ -4,16 +4,16 @@ enough to run, with the layering of every "holds" recording checked.
 
     PYTHONPATH=src python tests/lee_sweep.py
 
-It prints one JSON object: the number of inputs, of "holds" verdicts, of
-oracle runs and of `decide_lee`'s fallback rounds (eliminations at a vertex
-an earlier loop's body retired, the only steps that could make a recording
-unlayered), the inputs whose verdict differs from the oracle's, the inputs
-whose recording is not a layered witness, a sha256 over every verdict in
-input order, one over every verdict, trace and search counter, and one over
-every report (the first cycle `find_cycle` meets on all vertices, the L1-L3
-violations of `check_loop_chart`, and for a "holds" verdict both
-validators' violations on the recording), so that two versions of the
-program can be compared, and the seconds spent inside `decide_lee`.
+It prints one JSON object: the number of inputs, of "holds" verdicts and
+of oracle runs, the inputs whose verdict differs from the oracle's, the
+inputs whose recording is not a layered witness, a sha256 over every
+verdict in input order, one over every verdict, trace and search counter,
+one over every report (the first cycle `find_cycle` meets on all vertices,
+the L1-L3 violations of `check_loop_chart`, and for a "holds" verdict both
+validators' violations on the recording), and one over both validators'
+violations on random markings of random charts, most of which are not
+layered witnesses, so that two versions of the program can be compared,
+and the seconds spent inside `decide_lee`.
 pytest does not collect this file; `tests/test_lee.py` runs a slice of it.
 """
 
@@ -27,7 +27,7 @@ import random
 import time
 
 from loopchart import semantics, syntax
-from loopchart.charts import Chart, find_cycle
+from loopchart.charts import Chart, EntryBodyLabeling, find_cycle
 from loopchart.cli import sample_exprs
 from loopchart.lee import (
     check_loop_chart, decide_lee, exhaustive_lee, recording_labeling, validate_llee,
@@ -36,6 +36,7 @@ from loopchart.lee import (
 
 RANDOM_CHARTS = 20_000
 RANDOM_EXPRS = 3_000
+RANDOM_LABELINGS = 20_000
 LARGE = (400, 12, 2990400)  # exact size, count and seed of the large expressions
 
 
@@ -52,6 +53,22 @@ def random_charts(count: int):
         terminating = frozenset(v for v in range(n) if rng.random() < 0.2)
         chart = Chart(frozenset("ab"), 0, frozenset(range(n)), transitions, terminating)
         yield f"chart #{i}", chart, n <= 5 and len(transitions) <= 10
+
+
+def random_labelings(count: int):
+    """`count` labelings from `random.Random(5)`: a chart of 1 to 8 vertices
+    with labels a, b and 1, a random start and terminating set, and a
+    marking of 0 to 3 on each transition in sorted order."""
+    rng = random.Random(5)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        transitions = sorted({
+            (rng.randrange(n), rng.choice(["a", "b", "1"]), rng.randrange(n))
+            for _ in range(rng.randint(0, 3 * n))})
+        terminating = frozenset(v for v in range(n) if rng.random() < 0.2)
+        chart = Chart(frozenset("ab"), rng.randrange(n), frozenset(range(n)),
+                      frozenset(transitions), terminating)
+        yield EntryBodyLabeling(chart, {t: rng.randint(0, 3) for t in transitions})
 
 
 def expression_charts(exprs):
@@ -74,14 +91,16 @@ def large_exprs():
     return [workloads.random_expr(syntax, rng, size, ("a", "b", "c")) for _ in range(count)]
 
 
-def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = True) -> dict:
+def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = True,
+          labelings: int = RANDOM_LABELINGS) -> dict:
     """The counts over the first `charts` random charts and `exprs` random
-    expressions, and over the large expressions when `large` is set."""
+    expressions, and over the large expressions when `large` is set, and
+    the validators' digest over the first `labelings` random labelings."""
     inputs = [random_charts(charts),
               expression_charts(sample_exprs(["a", "b", "c"], exprs, 40, 5))]
     if large:
         inputs.append(expression_charts(large_exprs()))
-    counts = {"inputs": 0, "holds": 0, "oracle_runs": 0, "fallbacks": 0,
+    counts = {"inputs": 0, "holds": 0, "oracle_runs": 0,
               "oracle_disagreements": [], "unlayered": []}
     verdicts, traces, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     decide_lee_s = 0.0
@@ -91,11 +110,10 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
             result = decide_lee(c)
             decide_lee_s += time.perf_counter() - began
             counts["inputs"] += 1
-            counts["fallbacks"] += result.fallbacks
             verdicts.update(b"1" if result.holds else b"0")
             traces.update(json.dumps([
                 result.holds, result.trace and result.trace.to_json(), result.rounds,
-                result.vertex_passes, result.eliminations, result.fallbacks]).encode())
+                result.vertex_passes, result.eliminations]).encode())
             reports.update(json.dumps([
                 find_cycle(c, c.vertices), check_loop_chart(c).violations]).encode())
             if oracle:
@@ -109,9 +127,14 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
                 reports.update(json.dumps([direct.violations, alt.violations]).encode())
                 if not (direct.valid and alt.valid):
                     counts["unlayered"].append(name)
+    validators = hashlib.sha256()
+    for labeling in random_labelings(labelings):
+        validators.update(json.dumps([validate_llee(labeling).violations,
+                                      validate_llee_alt(labeling).violations]).encode())
     counts["verdicts_sha256"] = verdicts.hexdigest()
     counts["traces_sha256"] = traces.hexdigest()
     counts["reports_sha256"] = reports.hexdigest()
+    counts["validators_sha256"] = validators.hexdigest()
     counts["decide_lee_s"] = round(decide_lee_s, 3)
     return counts
 

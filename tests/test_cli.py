@@ -404,14 +404,13 @@ def test_cli_lee_json_shows_the_search_counters(capsys):
     assert list(doc) == ["holds", "trace", "search"]
     assert doc["holds"] and doc["trace"] == [
         {"vertex": 1, "entries": [[1, "a", 2], [1, "c", 0]]}]
-    assert doc["search"] == {"rounds": 1, "vertex_passes": 2,
-                             "eliminations": 1, "fallbacks": 0}
+    assert doc["search"] == {"rounds": 1, "vertex_passes": 2, "eliminations": 1}
     assert run_cli(["--format", "json", "lee", "(a*.b*)*"]) == 1
     doc = json.loads(capsys.readouterr().out)
     result = decide_lee(semantics.chart_of(parse_star_expr("(a*.b*)*")))
     assert doc == {"holds": False, "trace": None, "search": {
         "rounds": result.rounds, "vertex_passes": result.vertex_passes,
-        "eliminations": result.eliminations, "fallbacks": result.fallbacks}}
+        "eliminations": result.eliminations}}
     # the text output carries no counters
     assert run_cli(["lee", "(a*.b*)*"]) == 1
     assert capsys.readouterr().out == "LEE: fails\n"
