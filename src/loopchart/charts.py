@@ -143,28 +143,28 @@ def doomed(steps, roots, stop, marked):
             found.add(root)
             continue
         on_path[root] = True
-        stack = [(root, iter(() if root in stop else steps(root) or ()))]
-        while stack:
-            v, it = stack[-1]
-            for step in it:
+        path, iters = [root], [iter(() if root in stop else steps(root) or ())]
+        while iters:
+            for step in iters[-1]:
                 w = step[-1]
                 state = on_path.get(w)
                 if state is None:
                     on_path[w] = True
-                    stack.append((w, iter(() if w in stop else steps(w) or ())))
+                    path.append(w)
+                    iters.append(iter(() if w in stop else steps(w) or ()))
                     if w in stop or w not in marked:
                         break
                 elif not state and w not in found:
                     continue
                 # w is doomed, and so is every vertex on the path to it
-                for x, _ in stack:
+                for x in path:
                     on_path[x] = False
-                    found.add(x)
-                stack.clear()
+                found.update(path)
+                iters.clear()
                 break
             else:
-                on_path[v] = False
-                stack.pop()
+                on_path[path.pop()] = False
+                iters.pop()
     return found, on_path.keys()
 
 
@@ -213,23 +213,22 @@ def walk(out, roots):
         if root in on_path:
             continue
         on_path[root] = True
-        stack = [(root, iter(out(root) or ()))]
-        while stack:
-            v, it = stack[-1]
-            for _, _, w in it:
+        path, iters = [root], [iter(out(root) or ())]
+        while iters:
+            for _, _, w in iters[-1]:
                 state = on_path.get(w)
                 if state is None:
                     on_path[w] = True
-                    stack.append((w, iter(out(w) or ())))
+                    path.append(w)
+                    iters.append(iter(out(w) or ()))
                     break
                 if state:
                     if not heads:
-                        path = [x for x, _ in stack]
                         cycle = path[path.index(w):]
                     heads.add(w)
             else:
-                on_path[v] = False
-                stack.pop()
+                on_path[path.pop()] = False
+                iters.pop()
     return on_path.keys(), heads, cycle
 
 

@@ -294,7 +294,6 @@ _EXIT_2 = {
     RecursionError: "error: input nested too deeply (recursion limit reached)",
     MemoryError: "error: out of memory",
     semantics.StateExplosion: "state explosion: {}",
-    semantics.AmbiguousMarking: "ambiguous marking: {}",
     OSError: "error: {}",
 }
 

@@ -7,8 +7,8 @@ Two step systems, both executable:
   (``labeled_steps_stacked``): leaving a star body back to the iteration
   takes an empty step (label "1"), and unfolding a star whose body is
   normed+ is an entry of level the star's height, every other step a body
-  step.  ``steps_stacked`` is this one walker without the markings, so it
-  too can raise AmbiguousMarking.
+  step.  ``steps_stacked`` is this one walker without the markings, which
+  mark each (label, target) pair once.
 
 A plain expression is its own 1-chart state, so a plain node carries both
 kinds of steps.
@@ -50,10 +50,6 @@ from .syntax import (
 BODY = 0
 
 
-class AmbiguousMarking(Exception):
-    """Two derivations assign different markings to the same step."""
-
-
 class StateExplosion(Exception):
     """Interpretation exceeded the vertex cap; indicates a bug."""
 
@@ -86,43 +82,41 @@ def _plain_steps(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
 
 
 def _marked_steps(E: Stacked) -> frozenset[tuple[str, int, Stacked]]:
-    markings: dict[tuple[str, Stacked], int] = {}
+    """E's marked steps, a set with no (label, target) pair marked twice.
 
-    def record(label: str, marking: int, target: Stacked) -> None:
-        key = (label, target)
-        old = markings.get(key)
-        if old is not None and old != marking:
-            raise AmbiguousMarking(
-                f"step {render(E)} --{label}--> {render(target)} "
-                f"marked both {old} and {marking}")
-        markings[key] = marking
+    Lemma: if a target of a step of f is a product layer (`Prod` or
+    `SProd`), its right factor is a proper subterm of f.  By induction over
+    the cases below: `Act` steps to 1, a `Sum` to its branches' targets,
+    `Prod(g, h)` to sprod(H, h) or to h's targets, a `Star` to `SStack`s,
+    `SStack(H, t)` to `SStack(., t)` or to t, a `Star`, and `SProd(H, t)` to
+    sprod(., t).
 
+    Theorem: no (label, target) pair gets two markings.  By induction over
+    the same cases: a `Sum` marks every step 0 and a `Star` every step with
+    one level; `SStack(., t)`, sprod(., h) and `SStack(., E)` are injective,
+    as nodes are interned by their children, and an `SStack`'s empty step
+    goes to a `Star`.  In `Prod(g, h)` a right step to G could meet a left
+    step only if G is sprod(H, h), but by the lemma the right factor of G,
+    a target of h, is a proper subterm of h, so it is not h."""
     if isinstance(E, Act):
-        record(E.name, BODY, One())
-    elif isinstance(E, Sum):
+        return frozenset({(E.name, BODY, One())})
+    if isinstance(E, Sum):
         # the sum rule discards the premise marking
-        for branch in (E.left, E.right):
-            for label, _, G in branch._marked:
-                record(label, BODY, G)
-    elif isinstance(E, Prod):
-        for label, m, H in E.left._marked:
-            record(label, m, sprod(H, E.right))
-        if E.left.terminates:
-            for label, _, G in E.right._marked:
-                record(label, BODY, G)
-    elif isinstance(E, Star):
+        return frozenset((a, BODY, G) for a, _, G in E.left._marked | E.right._marked)
+    if isinstance(E, Prod):
+        out = {(a, m, sprod(H, E.right)) for a, m, H in E.left._marked}
+        return frozenset(out | {(a, BODY, G) for a, _, G in E.right._marked}
+                         if E.left.terminates else out)
+    if isinstance(E, Star):
         level = E.star_height if E.body.normed_plus else BODY
-        for label, _, H in E.body._marked:
-            record(label, level, SStack(H, E))
-    elif isinstance(E, (SProd, SStack)):
-        layer = SStack if isinstance(E, SStack) else sprod
-        for label, m, H in E.head._marked:
-            record(label, m, layer(H, E.tail))
-        # a product has no second-argument steps: a non-plain head never
-        # terminates
-        if isinstance(E, SStack) and E.head.terminates:
-            record(EMPTY, BODY, E.tail)
-    return frozenset((label, m, G) for (label, G), m in markings.items())
+        return frozenset((a, level, SStack(H, E)) for a, _, H in E.body._marked)
+    if isinstance(E, SStack):
+        out = {(a, m, SStack(H, E.tail)) for a, m, H in E.head._marked}
+        return frozenset(out | {(EMPTY, BODY, E.tail)} if E.head.terminates else out)
+    if isinstance(E, SProd):
+        # no second-argument steps: a non-plain head never terminates
+        return frozenset((a, m, sprod(H, E.tail)) for a, m, H in E.head._marked)
+    return frozenset()
 
 
 def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
@@ -134,11 +128,7 @@ def steps_star(e: StarExpr) -> frozenset[tuple[str, StarExpr]]:
 
 def labeled_steps_stacked(E: Stacked) -> frozenset[tuple[str, int, Stacked]]:
     """Stacked steps with their body/entry markings; label "1" is the empty
-    step.
-
-    Raises AmbiguousMarking if one (label, target) pair would carry two
-    distinct markings.
-    """
+    step; no (label, target) pair carries two markings (`_marked_steps`)."""
     if not isinstance(E, (StarExpr, StackedExpr)):
         raise TypeError(E)
     return bottom_up(E, "_marked", _step_deps, _marked_steps)
@@ -308,41 +298,41 @@ def from_structure(structure: tuple, marked: bool, alphabet=None,
 def _built(e: StarExpr, step_fn):
     """The chart, or for marked steps the labeling, of `closure_of(e,
     step_fn)` over the actions of `e`, annotated with the vertices' texts,
-    built once and shared (do not modify it); and each vertex's expression."""
+    built once and shared: do not modify it."""
     closure = closure_of(e, step_fn)
     if closure.built is None:
         closure.built = from_structure(
             closure.structure, step_fn is labeled_steps_stacked, actions_of(e),
             {v: render(x) for v, x in enumerate(closure.exprs)})
-    return closure.built, dict(enumerate(closure.exprs))
+    return closure.built
 
 
 def chart_of(e: StarExpr) -> Chart:
-    return chart_of_with_exprs(e)[0]
+    return _built(e, steps_star)
 
 
 def chart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, StarExpr]]:
     """The chart interpretation of `e` and each vertex's expression."""
-    return _built(e, steps_star)
+    return chart_of(e), dict(enumerate(closure_of(e, steps_star).exprs))
 
 
 def onechart_of(e: StarExpr) -> Chart:
-    return onechart_of_with_exprs(e)[0]
+    return _built(e, labeled_steps_stacked).chart
 
 
 def onechart_of_with_exprs(e: StarExpr) -> tuple[Chart, dict[int, Stacked]]:
     """The 1-chart interpretation of `e` (the chart of the labeled one) and
     each vertex's stacked expression."""
-    labeling, exprs = _built(e, labeled_steps_stacked)
-    return labeling.chart, exprs
+    return onechart_of(e), dict(enumerate(closure_of(e, labeled_steps_stacked).exprs))
 
 
 def labeled_onechart_of(e: StarExpr) -> EntryBodyLabeling:
-    return labeled_onechart_of_with_exprs(e)[0]
+    return _built(e, labeled_steps_stacked)
 
 
 def labeled_onechart_of_with_exprs(
         e: StarExpr) -> tuple[EntryBodyLabeling, dict[int, Stacked]]:
     """The marked 1-chart interpretation of `e` and each vertex's stacked
     expression."""
-    return _built(e, labeled_steps_stacked)
+    return (labeled_onechart_of(e),
+            dict(enumerate(closure_of(e, labeled_steps_stacked).exprs)))

@@ -304,3 +304,19 @@ def test_corpus_lee_counters_are_unchanged(corpus_results):
             digest.update(json.dumps(
                 [r.rounds, r.vertex_passes, r.eliminations]).encode())
     assert digest.hexdigest() == CORPUS_LEE_COUNTERS_SHA256
+
+
+# sha256 over json.dumps(closure_of(e, labeled_steps_stacked).structure) for
+# 200 seeded random expressions of size up to 60, in order, recorded while
+# the marked step rules still checked each step's marking at run time
+LARGE_MARKED_SHA256 = "28cadb66240065b4b77a58b3bba21abd030c59e2723a86be328e034aadd28a02"
+
+
+def test_large_marked_structures_are_unchanged():
+    """The marked 1-chart structures of expressions larger than the
+    corpus's are part of the output contract."""
+    digest = hashlib.sha256()
+    for e in cli.sample_exprs(["a", "b", "c"], 200, 60, 27):
+        digest.update(json.dumps(
+            semantics.closure_of(e, semantics.labeled_steps_stacked).structure).encode())
+    assert digest.hexdigest() == LARGE_MARKED_SHA256

@@ -528,8 +528,7 @@ def test_cli_chart_file_not_utf8_exit_2(tmp_path, capsys, argv):
     assert err.startswith("schema error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("error", [semantics.StateExplosion,
-                                   semantics.AmbiguousMarking, RecursionError,
+@pytest.mark.parametrize("error", [semantics.StateExplosion, RecursionError,
                                    MemoryError])
 def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     def fail(e):
@@ -537,16 +536,6 @@ def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     monkeypatch.setattr(semantics, "chart_of", fail)
     assert run_cli(["chart", "a"]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("which", ["p1", "p2", "all"])
-def test_cli_verify_exits_2_on_ambiguous_marking(monkeypatch, capsys, which):
-    # both 1-charts take their steps from the marked walker
-    def fail(E):
-        raise semantics.AmbiguousMarking("marked both 0 and 1")
-    monkeypatch.setattr(semantics, "labeled_steps_stacked", fail)
-    assert run_cli(["verify", "a", "--property", which]) == 2
-    assert capsys.readouterr().err == "ambiguous marking: marked both 0 and 1\n"
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -10,8 +10,8 @@ from loopchart.semantics import (
     onechart_of, steps_stacked, steps_star,
 )
 from loopchart.syntax import (
-    Act, One, Prod, SStack, Star, StarExpr, Sum, Zero, actions_of, parse_star_expr,
-    project, render,
+    Act, One, Prod, SProd, SStack, Star, StarExpr, Sum, Zero, actions_of,
+    parse_star_expr, project, render, sprod,
 )
 
 
@@ -235,3 +235,45 @@ def test_stored_normedness_matches_fixpoint(codes):
     normed+ measures that the fixpoint oracle computes."""
     for E, expected in normedness(expr_of(codes)).items():
         assert (E.normed, E.normed_plus) == expected
+
+
+def check_marked_steps(E):
+    """`_marked_steps`'s theorem and lemma at E: no two marked steps share a
+    label and a target, and every product-shaped target's right factor is a
+    proper subterm of E."""
+    steps = labeled_steps_stacked(E)
+    assert len({(label, G) for label, _, G in steps}) == len(steps), E
+    subterms, todo = set(), [E]
+    while todo:
+        node = todo.pop()
+        for name in node._fields:
+            child = getattr(node, name)
+            if not isinstance(child, str) and child not in subterms:
+                subterms.add(child)
+                todo.append(child)
+    for _, _, G in steps:
+        if isinstance(G, (Prod, SProd)):
+            assert (G.right if isinstance(G, Prod) else G.tail) in subterms, E
+
+
+plain_exprs = st.integers(1, 12).flatmap(
+    lambda size: st.lists(st.integers(0, 80), min_size=size, max_size=size)).map(expr_of)
+# arbitrary stacked nodes, beyond the states a plain expression reaches:
+# sums of any nodes, product layers, stacks over any head, and a plain
+# product over a stacked head
+stacked_nodes = st.recursive(plain_exprs, lambda inner: st.one_of(
+    st.builds(Sum, inner, inner), st.builds(sprod, inner, plain_exprs),
+    st.builds(SStack, inner, plain_exprs.map(Star)), st.builds(Prod, inner, plain_exprs)),
+    max_leaves=6)
+
+
+@settings(deadline=None)
+@given(stacked_nodes)
+def test_no_step_is_marked_twice(E):
+    check_marked_steps(E)
+
+
+def test_no_corpus_onechart_state_has_a_step_marked_twice():
+    for e in cli.corpus_exprs():
+        for E in semantics.closure_of(e, labeled_steps_stacked).exprs:
+            check_marked_steps(E)
