@@ -1,4 +1,5 @@
-"""Bisimulation checking, partition refinement, collapse, and a brute-force oracle."""
+"""Bisimulation checking, partition refinement, and collapse; the tests'
+brute-force oracle is ``naive_bisim_oracle`` in ``tests/test_bisim.py``."""
 
 from __future__ import annotations
 
@@ -6,10 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charts import Chart, UnknownVertex, reach, reachable
-
-
-class CapExceeded(Exception):
-    pass
 
 
 Pair = tuple[int, int]
@@ -135,26 +132,3 @@ def collapse(c: Chart) -> tuple[Chart, dict[int, int]]:
         annotations={qmap[v]: a for v, a in sorted(r.annotations.items())},
     )
     return quotient, qmap
-
-
-def naive_bisim_oracle(c1: Chart, c2: Chart, cap: int = 60) -> set[Pair]:
-    """Greatest bisimulation between c1 and c2 by iterated pruning of the
-    full relation.  Independent of the refinement implementation."""
-    if len(c1.vertices) + len(c2.vertices) > cap:
-        raise CapExceeded(f"{len(c1.vertices)} + {len(c2.vertices)} vertices > {cap}")
-    pairs = {(u, v)
-             for u in c1.vertices for v in c2.vertices
-             if (u in c1.terminating) == (v in c2.terminating)}
-    changed = True
-    while changed:
-        changed = False
-        for u, v in sorted(pairs):
-            out1, out2 = c1.out(u), c2.out(v)
-            ok = all(any(l2 == label and (u1, v1) in pairs for _, l2, v1 in out2)
-                     for _, label, u1 in out1) and \
-                 all(any(l1 == label and (u1, v1) in pairs for _, l1, u1 in out1)
-                     for _, label, v1 in out2)
-            if not ok:
-                pairs.discard((u, v))
-                changed = True
-    return pairs

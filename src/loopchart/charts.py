@@ -257,7 +257,8 @@ def induced_of(c: Chart) -> Chart:
 
 def canonical_key(c: Chart):
     """Breadth-first renumbering from the start; a deterministic structural
-    key of the reachable part, used for memoization."""
+    key of the reachable part.  Nothing in the package calls it; it stays
+    because the benchmark's tracer (``perfbench/layers.py``) names it."""
     new = {v: i for i, v in enumerate(reach(c.out_index().get, [c.start]))}
     transitions = frozenset(
         (new[v], label, new[w]) for v, label, w in c.transitions
@@ -363,6 +364,8 @@ def from_json(text: str) -> Union[Chart, EntryBodyLabeling]:
                 raise SchemaError('label "1" requires "kind": "empty"', f"{path}/kind")
         elif not isinstance(label, str) or label not in alphabet:
             raise SchemaError("label must be in the alphabet", f"{path}/label")
+        elif "kind" in entry:
+            raise SchemaError('only label "1" takes a "kind"', f"{path}/kind")
         t = (entry["from"], label, entry["to"])
         if t in transitions:
             raise SchemaError("duplicate transition", path)

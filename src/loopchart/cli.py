@@ -36,11 +36,11 @@ class VerifyReport:
         return json.dumps(doc)
 
 
-P2_MEMO_SIZE = 128
+VERDICT_MEMO_SIZE = 128
 BUDGET_ENV = "LOOPCHART_BUDGET"  # read by `loopchart lee` only
 
 
-@functools.lru_cache(maxsize=P2_MEMO_SIZE)
+@functools.lru_cache(maxsize=VERDICT_MEMO_SIZE)
 def _p1_verdict(onechart: tuple, chart: tuple,
                 projection: tuple[int, ...]) -> tuple[dict, Optional[dict]]:
     """P1's statistics and failure for the 1-chart and the chart of these
@@ -67,9 +67,9 @@ def _p1_verdict(onechart: tuple, chart: tuple,
 def verify_p1(e: StarExpr) -> VerifyReport:
     """The projection is a functional bisimulation from the reachable part
     of the induced chart of the 1-chart interpretation onto the chart
-    interpretation.  `_p1_verdict` keeps the verdicts of the P2_MEMO_SIZE most
-    recently used closure structures and projections; `cache_info()` counts
-    its hits and misses.  Every report gets its own statistics and failure."""
+    interpretation.  `_p1_verdict` keeps the verdicts of the
+    VERDICT_MEMO_SIZE most recently used closure structures and projections;
+    `cache_info()` counts its hits and misses.  Every report gets its own statistics and failure."""
     one = semantics.closure_of(e, semantics.labeled_steps_stacked)
     plain = semantics.closure_of(e, semantics.steps_star)
     # a projection that is not alive is no chart vertex: None maps to -1
@@ -82,7 +82,7 @@ def verify_p1(e: StarExpr) -> VerifyReport:
     return VerifyReport(render(e), "p1", failure is None, dict(stats), failure)
 
 
-@functools.lru_cache(maxsize=P2_MEMO_SIZE)
+@functools.lru_cache(maxsize=VERDICT_MEMO_SIZE)
 def _p2_verdict(onechart: tuple) -> tuple[dict, Optional[dict]]:
     """P2's statistics and failure for the marked 1-chart of this closure
     structure.  The validators see only the labeling that
@@ -103,8 +103,8 @@ def _p2_verdict(onechart: tuple) -> tuple[dict, Optional[dict]]:
 def verify_p2(e: StarExpr) -> VerifyReport:
     """The marked 1-chart interpretation is a layered entry/body witness,
     per both validators.  `_p2_verdict` keeps the verdicts of the
-    P2_MEMO_SIZE most recently used marked 1-charts, and its `cache_info()`
-    counts hits and misses.  Every report gets its own statistics and failure."""
+    VERDICT_MEMO_SIZE most recently used marked 1-charts, and its
+    `cache_info()` counts hits and misses.  Every report gets its own statistics and failure."""
     stats, failure = _p2_verdict(
         semantics.closure_of(e, semantics.labeled_steps_stacked).structure)
     return VerifyReport(render(e), "p2", failure is None, dict(stats),
@@ -340,7 +340,7 @@ def run_cli(argv: Sequence[str]) -> int:
         elif args.command == "llee-check":
             loaded = _load_chart_arg(args.file)
             if not isinstance(loaded, EntryBodyLabeling):
-                print("error: file carries no markings", file=sys.stderr)
+                print("error: input carries no markings", file=sys.stderr)
                 return 2
             direct = lee.validate_llee(loaded)
             alt = lee.validate_llee_alt(loaded)

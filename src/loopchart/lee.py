@@ -1,16 +1,16 @@
 """Loop charts, loop-subchart elimination, the LEE decision, and
-layered entry/body witness validation (two independent validators)."""
+layered entry/body witness validation (two independent validators).
+The tests check `decide_lee` against the exhaustive search in
+``perfbench/oracles.py``, which shares no code with this module."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .charts import (
-    Chart, EntryBodyLabeling, Transition, UnknownVertex, canonical_key, doomed,
-    has_infinite_path, reach, reachable, walk,
+    Chart, EntryBodyLabeling, Transition, UnknownVertex, doomed, reach, reachable, walk,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -309,44 +309,6 @@ def _maximal_loop(out, terminating: frozenset[int], v: int
         return entries, frozenset(met)
     body = frozenset(reach(out, [w for _, _, w in entries], {v}))
     return (entries, body) if v in body else None
-
-
-def exhaustive_lee(c: Chart) -> LeeResult:
-    """Complete backtracking search for an elimination sequence ending in a
-    chart without infinite paths: every subset of every vertex's outgoing
-    transitions, in every order, with failed charts remembered.  It makes
-    up to 2^out-degree loop-subchart checks per vertex and search node, and
-    is kept as the test oracle for `decide_lee`'s verdict.  Its trace
-    replays, but need not record to a layered witness.  Empty-step labels
-    are treated as ordinary labels."""
-    failed: set = set()
-
-    def search(current: Chart) -> Optional[list[EliminationStep]]:
-        if not has_infinite_path(current):
-            return []
-        key = canonical_key(current)
-        if key in failed:
-            return None
-        for v in sorted(current.vertices):
-            outs = current.out(v)
-            # largest candidate entry sets first
-            for size in range(len(outs), 0, -1):
-                for subset in combinations(outs, size):
-                    entry_set = frozenset(subset)
-                    try:
-                        smaller = eliminate_loop(current, v, entry_set)
-                    except NotALoopSubchart:
-                        continue
-                    rest = search(smaller)
-                    if rest is not None:
-                        return [EliminationStep(v, entry_set)] + rest
-        failed.add(key)
-        return None
-
-    steps = search(reachable(c))
-    if steps is None:
-        return LeeResult(False)
-    return LeeResult(True, EliminationTrace(steps))
 
 
 def recording_labeling(c: Chart, trace: EliminationTrace) -> EntryBodyLabeling:

@@ -16,7 +16,8 @@ kinds of steps.
 Termination, normed, normed+ and star height are measures stored on each
 interned node (see ``syntax._Node``).  ``normedness`` computes normed and
 normed+ as fixpoints instead: it is the oracle the tests check the stored
-measures against, and nothing in the package calls it.
+measures against, and nothing in the package calls it.  The tests keep
+their entry-shape check in ``tests/test_acceptance.py``.
 
 Each node's steps are computed once and kept in a slot, ``_steps`` for the
 plain steps and ``_marked`` for the marked ones: ``syntax.bottom_up`` fills
@@ -186,49 +187,6 @@ def normedness(E: Stacked) -> dict[Stacked, tuple[bool, bool]]:
     normed_plus = least((), lambda F, found: any(
         G in ind_term or G in found for G in induced_succ[F]))
     return {F: (F in normed, F in normed_plus) for F in states}
-
-
-# ---------------------------------------------------------------------------
-# entry shape
-
-def star_decompositions(E: Stacked):
-    """All ways to write E as layers around a plain star: peel the stacked
-    layers, then left factors of the plain core (a product layer over a
-    plain head is itself a plain product)."""
-    layers: list[tuple[str, StarExpr]] = []
-    while isinstance(E, (SProd, SStack)):
-        layers.append(("stack" if isinstance(E, SStack) else "prod", E.tail))
-        E = E.head
-    core = E
-    results = []
-    while True:
-        if isinstance(core, Star):
-            results.append((list(layers), core))
-        if isinstance(core, Prod):
-            layers.append(("prod", core.right))
-            core = core.left
-        else:
-            return results
-
-
-def _refill(layers, core: Stacked) -> Stacked:
-    for kind, tail in reversed(layers):
-        core = SStack(core, tail) if kind == "stack" else sprod(core, tail)
-    return core
-
-
-def entry_shape_ok(E: Stacked, label: str, level: int,
-                   target: Stacked) -> bool:
-    """An entry of level n from E must unfold some star g* inside E with
-    n = |g| + 1, the body g normed+, and the target the same position
-    descended into the star body."""
-    for layers, star in star_decompositions(E):
-        if star.star_height != level or not star.body.normed_plus:
-            continue
-        for l2, H in steps_stacked(star.body):
-            if l2 == label and _refill(layers, SStack(H, star)) == target:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

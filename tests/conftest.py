@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from loopchart import charts, semantics
 from loopchart.syntax import parse_star_expr
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = os.path.join(ROOT, "tests", "fixtures")
+SRC = os.path.join(ROOT, "src")
 
 # the running examples: g0 (three-vertex cyclic chart), e = (a*.b*)*,
 # and f, whose chart embeds the three-vertex Milner chart
@@ -47,6 +50,16 @@ def chart_f(f_expr):
 def load_fixture(name):
     with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as handle:
         return charts.from_json(handle.read())
+
+
+def load_perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file, since
+    perfbench/ is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The seeded LEE sweep: `decide_lee` on random charts and on the charts of
-random expressions, against `exhaustive_lee` where that search is small
-enough to run, with the layering of every "holds" recording checked.
+random expressions, against the exhaustive search `lee_exhaustive` of
+perfbench/oracles.py where that search is small enough to run, with the
+layering of every "holds" recording checked.
 
     PYTHONPATH=src python tests/lee_sweep.py
 
@@ -20,9 +21,7 @@ pytest does not collect this file; `tests/test_lee.py` runs a slice of it.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import os
 import random
 import time
 
@@ -30,9 +29,12 @@ from loopchart import semantics, syntax
 from loopchart.charts import Chart, EntryBodyLabeling, find_cycle
 from loopchart.cli import sample_exprs
 from loopchart.lee import (
-    check_loop_chart, decide_lee, exhaustive_lee, recording_labeling, validate_llee,
-    validate_llee_alt,
+    check_loop_chart, decide_lee, recording_labeling, validate_llee, validate_llee_alt,
 )
+
+from conftest import load_perfbench
+
+oracles = load_perfbench("oracles")
 
 RANDOM_CHARTS = 20_000
 RANDOM_EXPRS = 3_000
@@ -81,11 +83,7 @@ def expression_charts(exprs):
 
 def large_exprs():
     """The exact-size expressions drawn by the benchmark's generator."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads")
     size, count, seed = LARGE
     rng = random.Random(seed)
     return [workloads.random_expr(syntax, rng, size, ("a", "b", "c")) for _ in range(count)]
@@ -118,7 +116,7 @@ def sweep(charts: int = RANDOM_CHARTS, exprs: int = RANDOM_EXPRS, large: bool = 
                 find_cycle(c, c.vertices), check_loop_chart(c).violations]).encode())
             if oracle:
                 counts["oracle_runs"] += 1
-                if exhaustive_lee(c).holds != result.holds:
+                if oracles.lee_exhaustive(c) != result.holds:
                     counts["oracle_disagreements"].append(name)
             if result.holds:
                 counts["holds"] += 1

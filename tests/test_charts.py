@@ -15,7 +15,7 @@ from loopchart.charts import (
 )
 from loopchart.syntax import Act, parse_star_expr
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+from conftest import SRC
 
 
 def test_induced_of_e(e_expr):
@@ -96,10 +96,13 @@ def test_schema_error_paths():
             ' "vertices": [{"id": 0, "terminating": false}],'
             ' "transitions": [{"from": 0, "label": "b", "to": 0}]}')
     assert info.value.path == "/transitions/0/label"
-    # true == 1 and 1.0 == 1, but neither is a vertex id; a list is unhashable
+    # true == 1 and 1.0 == 1, but neither is a vertex id; a list is unhashable;
+    # only label "1" takes a kind
     for transition, path in (('{"from": 0, "label": "a", "to": true}', "/transitions/0/to"),
                              ('{"from": 1.0, "label": "a", "to": 0}', "/transitions/0/from"),
-                             ('{"from": 0, "label": "a", "to": [1]}', "/transitions/0/to")):
+                             ('{"from": 0, "label": "a", "to": [1]}', "/transitions/0/to"),
+                             ('{"from": 0, "label": "a", "to": 1, "kind": "empty"}',
+                              "/transitions/0/kind")):
         with pytest.raises(SchemaError) as info:
             from_json(
                 '{"alphabet": ["a"], "start": 0,'

@@ -3,7 +3,6 @@ benchmark traces."""
 
 import gc
 import importlib
-import importlib.util
 import json
 import os
 import random
@@ -26,7 +25,7 @@ from loopchart.syntax import (
     Act, One, Star, Zero, live_projection, parse_star_expr, project, render,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ROOT, SRC, load_perfbench
 
 
 def brute_count(alphabet_size, size):
@@ -152,7 +151,7 @@ def test_p1_reports_do_not_depend_on_the_cache(fresh_p2_memo):
     cli._p1_verdict.cache_clear()
     assert [verify_p1(e).to_json() for e in exprs] == expected
     info = cli._p1_verdict.cache_info()
-    assert 0 < info.misses < len(exprs) / 2 and info.currsize == cli.P2_MEMO_SIZE
+    assert 0 < info.misses < len(exprs) / 2 and info.currsize == cli.VERDICT_MEMO_SIZE
 
 
 def _structure(chart, marking=None) -> tuple:
@@ -293,7 +292,7 @@ def test_p2_reports_do_not_depend_on_the_memo(fresh_p2_memo, monkeypatch):
     runs = _count_validator_runs(monkeypatch)
     assert [verify_p2(e).to_json() for e in exprs] == expected
     assert 0 < len(runs) < len(exprs)  # the warm pass hit the memo
-    assert cli._p2_verdict.cache_info().currsize == cli.P2_MEMO_SIZE
+    assert cli._p2_verdict.cache_info().currsize == cli.VERDICT_MEMO_SIZE
 
 
 def test_p2_reports_equal_the_validators_on_rejected_labelings(fresh_p2_memo, monkeypatch):
@@ -462,6 +461,23 @@ def test_cli_llee_check(tmp_path, capsys, e_expr):
     assert "valid" in capsys.readouterr().out
 
 
+def test_cli_llee_check_expression_exit_2(capsys):
+    assert run_cli(["llee-check", "a"]) == 2
+    assert capsys.readouterr().err == "error: input carries no markings\n"
+
+
+@pytest.mark.parametrize("command", ["collapse", "lee", "llee-check"])
+def test_cli_kind_on_a_proper_label_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "kind.json"
+    path.write_text('{"alphabet": ["a"], "start": 0,'
+                    ' "vertices": [{"id": 0, "terminating": true}],'
+                    ' "transitions": [{"from": 0, "label": "a", "to": 0, "kind": "empty"}]}')
+    assert run_cli([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and "/transitions/0/kind" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("LOOPCHART_BUDGET", "1")
     f_text = "(a1.(1 + b1.0) + (a2.(1 + b2.0) + a3.(1 + b3.0)))*.0"
@@ -538,16 +554,9 @@ def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-
-
 def test_traced_benchmark_names_resolve():
     """Every function perfbench/layers.py wraps exists under its name."""
-    path = os.path.join(os.path.dirname(SRC), "perfbench", "layers.py")
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    for targets in layers.LAYERS.values():
+    for targets in load_perfbench("layers").LAYERS.values():
         for module_name, attr in targets:
             owner = importlib.import_module(f"loopchart.{module_name}")
             for name in attr.split("."):
@@ -559,7 +568,7 @@ def test_traced_benchmark_names_resolve():
 def test_readme_cli_lines_run():
     """Every line of README's CLI block that names no chart file parses and
     gets a verdict."""
-    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         block = re.search(r"## CLI.*?```sh\n(.*?)```", handle.read(), re.S).group(1)
     lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
     runnable = [argv for argv in lines if not any(arg.endswith(".json") for arg in argv)]
@@ -571,7 +580,7 @@ def test_readme_cli_lines_run():
 def test_readme_api_references_resolve():
     """Every backticked `module.name` reference in README, for the package's
     modules, names an attribute path of that module."""
-    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         refs = set(re.findall(r"`(syntax|semantics|charts|bisim|lee|cli)((?:\.\w+)+)",
                               handle.read()))
     assert len(refs) >= 12

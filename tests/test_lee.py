@@ -12,14 +12,16 @@ from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
     NotALoopSubchart, SearchBudgetExceeded, TraceReplayError, _loop_report,
     _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
-    entries_of, exhaustive_lee, loop_subchart_generated, recording_labeling,
+    entries_of, loop_subchart_generated, recording_labeling,
     validate_llee, validate_llee_alt,
 )
 from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
 
 import lee_sweep
-from conftest import load_fixture
+from conftest import load_fixture, load_perfbench
 from test_charts import naive_has_cycle_within
+
+oracles = load_perfbench("oracles")
 
 
 def trace(*steps):
@@ -225,7 +227,7 @@ def assert_agrees_with_oracle(c):
     """decide_lee's verdict is the exhaustive search's, and a "holds" trace
     eliminates every infinite path and records to a layered witness."""
     result = decide_lee(c)
-    assert result.holds == exhaustive_lee(c).holds
+    assert result.holds == oracles.lee_exhaustive(c)
     if not result.holds:
         return
     current = c
@@ -272,7 +274,7 @@ def test_decide_lee_records_a_witness_where_the_first_loop_does_not():
     assert_agrees_with_oracle(c)
 
 
-# two charts where decide_lee holds, as exhaustive_lee does, and once
+# two charts where decide_lee holds, as the exhaustive search does, and once
 # recorded unlayered witnesses: the 1-chart's (W2+W3 / LLEE1+LLEE4) while each
 # round eliminated one loop, the 6-vertex chart's (W3 / LLEE4) while a round
 # that met no innermost loop eliminated one without retiring its body; both
@@ -287,12 +289,8 @@ UNLAYERED_CASES = {
 @pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))
 def test_decide_lee_is_right_where_its_recording_is_unlayered(case):
     c = UNLAYERED_CASES[case]()
-    result = decide_lee(c)
-    assert result.holds and exhaustive_lee(c).holds
-    current = c
-    for step in result.trace.steps:
-        current = eliminate_loop(current, step.vertex, step.entry_set)
-    assert not has_infinite_path(current)
+    assert decide_lee(c).holds
+    assert_agrees_with_oracle(c)
 
 
 @pytest.mark.parametrize("case", sorted(UNLAYERED_CASES))

@@ -85,7 +85,7 @@ def test_cached_verdicts_build_no_chart(monkeypatch):
     """A verdict-cache hit reads the closures' structures only; a chart is
     built when it is first asked for, once."""
     exprs = list(cli.sample_exprs(["a", "b"], 60, 10, 5))
-    assert len(set(exprs)) < cli.P2_MEMO_SIZE
+    assert len(set(exprs)) < cli.VERDICT_MEMO_SIZE
     for e in exprs:
         cli.verify_p1(e)
         cli.verify_p2(e)
