@@ -37,7 +37,6 @@ class VerifyReport:
 
 
 VERDICT_MEMO_SIZE = 128
-BUDGET_ENV = "LOOPCHART_BUDGET"  # read by `loopchart lee` only
 
 
 @functools.lru_cache(maxsize=VERDICT_MEMO_SIZE)
@@ -190,7 +189,7 @@ def default_corpus(*args, **kwargs) -> list[StarExpr]:
 
 def _load_chart_arg(text: str) -> Union[Chart, EntryBodyLabeling]:
     """FILE (chart JSON) or EXPR; files let non-interpretable charts in."""
-    if text.endswith(".json") or os.path.exists(text):
+    if text.endswith(".json") or os.path.isfile(text):
         with open(text, "rb") as handle:
             data = handle.read()
         try:
@@ -290,7 +289,6 @@ def _run_verify(e: StarExpr, which: str, fmt: str) -> int:
 _EXIT_2 = {
     ParseError: "parse error: {}",
     SchemaError: "schema error: {}",
-    lee.SearchBudgetExceeded: "search budget exceeded: {}",
     RecursionError: "error: input nested too deeply (recursion limit reached)",
     MemoryError: "error: out of memory",
     semantics.StateExplosion: "state explosion: {}",
@@ -321,12 +319,7 @@ def run_cli(argv: Sequence[str]) -> int:
             _emit(collapsed, fmt, f"collapse: {_chart_summary(collapsed)}")
         elif args.command == "lee":
             c = _strip(_load_chart_arg(args.input))
-            budget = os.environ.get(BUDGET_ENV, "").strip() or str(lee.DEFAULT_BUDGET)
-            if not budget.isdecimal():
-                print(f"usage error: {BUDGET_ENV} must be a non-negative integer, "
-                      f"got {budget!r}", file=sys.stderr)
-                return 2
-            result = lee.decide_lee(c, int(budget))
+            result = lee.decide_lee(c)
             if fmt == "json":
                 print(json.dumps({
                     "holds": result.holds,

@@ -13,8 +13,6 @@ from .charts import (
     Chart, EntryBodyLabeling, Transition, UnknownVertex, doomed, reach, reachable, walk,
 )
 
-DEFAULT_BUDGET = 200_000
-
 
 class EmptyEntrySet(Exception):
     pass
@@ -30,11 +28,6 @@ class TraceReplayError(Exception):
     def __init__(self, step_index: int, reason: str):
         super().__init__(f"step {step_index}: {reason}")
         self.step_index = step_index
-
-
-class SearchBudgetExceeded(Exception):
-    def __init__(self, budget: int):
-        super().__init__(f"more than {budget} vertex passes and loop eliminations")
 
 
 @dataclass
@@ -70,18 +63,14 @@ class EliminationTrace:
 @dataclass
 class LeeResult:
     """The verdict, the trace when LEE holds, and `decide_lee`'s counters:
-    rounds, vertex passes (one per vertex and round at most), eliminations."""
+    rounds (one more than the eliminations at most), vertex passes (one per
+    vertex and round at most), eliminations (one per transition at most)."""
 
     holds: bool
     trace: Optional[EliminationTrace] = None
     rounds: int = 0
     vertex_passes: int = 0
     eliminations: int = 0
-
-    @property
-    def checks(self) -> int:
-        """The budget used: one unit per vertex pass and per elimination."""
-        return self.vertex_passes + self.eliminations
 
 
 @dataclass
@@ -178,7 +167,7 @@ def eliminate_loop(c: Chart, v: int, entry_set: frozenset[Transition]) -> Chart:
 # ---------------------------------------------------------------------------
 # the LEE decision
 
-def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
+def decide_lee(c: Chart) -> LeeResult:
     """Decide LEE by greedy elimination of maximal loops, without
     backtracking.  Empty-step labels, if present, are treated as ordinary
     labels.
@@ -246,9 +235,12 @@ def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
     One depth-first walk from the start per round finds the live vertices
     and whether a cycle remains among them.
 
-    The budget bounds the search: each vertex pass costs one unit, and so
-    does each loop elimination, with its check.  Exceeding it raises
-    SearchBudgetExceeded."""
+    A run ends on every chart, with no bound to set.  Each elimination
+    drops a non-empty entry set from the adjacency for good, and no step
+    adds a transition, so a run makes at most |T| eliminations.  Every
+    round but the last eliminates a loop, so it has at most |T| + 1
+    rounds, and each round passes each vertex at most once.  A pass, an
+    elimination's check and a round's walk are each linear in the chart."""
     # the lists are replaced, never modified, so the chart's stay intact
     index = dict(c.out_index())
     out = index.get
@@ -263,14 +255,10 @@ def decide_lee(c: Chart, budget: int = DEFAULT_BUDGET) -> LeeResult:
         for v in sorted(live):
             if v in retired:
                 continue
-            if passes + eliminations >= budget:
-                raise SearchBudgetExceeded(budget)
             passes += 1
             loop = _maximal_loop(out, terminating, v)
             if loop is None:
                 continue
-            if passes + eliminations >= budget:
-                raise SearchBudgetExceeded(budget)
             eliminations += 1
             entry_set, body = loop
             kept = index[v]

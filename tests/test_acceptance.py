@@ -337,7 +337,7 @@ CORPUS_LEE_COUNTERS_SHA256 = "a39646c03470dfe5d2b8fd0f52c4c71007be472e21753a6ce5
 
 
 def test_corpus_lee_counters_are_unchanged(corpus_results):
-    """The search counters, and so the budget a run uses, are part of the
+    """The search counters, and so the work a run does, are part of the
     output contract: a search that makes other passes or rounds changes
     this digest on purpose, and says so."""
     digest = hashlib.sha256()

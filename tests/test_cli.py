@@ -478,11 +478,21 @@ def test_cli_kind_on_a_proper_label_exit_2(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
-def test_cli_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("LOOPCHART_BUDGET", "1")
-    f_text = "(a1.(1 + b1.0) + (a2.(1 + b2.0) + a3.(1 + b3.0)))*.0"
-    assert run_cli(["lee", f_text]) == 2
-    assert "budget" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, code", [(["lee", "src"], 0), (["collapse", "src"], 0),
+                                        (["bisim", "src", "src*"], 1)])
+def test_cli_reads_a_directory_name_as_an_expression(tmp_path, monkeypatch, capsys,
+                                                     argv, code):
+    """Only a file, or a name ending in .json, is read as a chart file."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code
+    expected = capsys.readouterr()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src*").mkdir()
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == expected
+    (tmp_path / "src.json").mkdir()
+    assert run_cli([argv[0], "src.json"] + argv[2:]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_corpus_small(capsys):
@@ -491,13 +501,6 @@ def test_cli_corpus_small(capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary == {"expressions": 54, "failures": 0}
-
-
-def test_cli_invalid_budget_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("LOOPCHART_BUDGET", "abc")
-    assert run_cli(["lee", "(a*.b*)*"]) == 2
-    err = capsys.readouterr().err
-    assert "LOOPCHART_BUDGET" in err and len(err.splitlines()) == 1
 
 
 def test_cli_deep_nesting_exit_0(capsys):
@@ -589,6 +592,18 @@ def test_readme_api_references_resolve():
         for name in path[1:].split("."):
             assert hasattr(owner, name), f"{module_name}{path}"
             owner = getattr(owner, name)
+
+
+def test_the_package_reads_no_environment():
+    """No module of the package reads an environment variable: what a
+    command does depends on its arguments and input only."""
+    package = os.path.join(SRC, "loopchart")
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "lee.py" in modules and "cli.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            assert not re.search(r"\b(environ|getenv)b?\b",
+                                 handle.read()), name
 
 
 def test_cli_runs_as_module():

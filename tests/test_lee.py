@@ -10,7 +10,7 @@ from loopchart.charts import (
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
-    NotALoopSubchart, SearchBudgetExceeded, TraceReplayError, _loop_report,
+    NotALoopSubchart, TraceReplayError, _loop_report,
     _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
     entries_of, loop_subchart_generated, recording_labeling,
     validate_llee, validate_llee_alt,
@@ -104,31 +104,18 @@ def test_decide_lee_trace_replays(chart_g0):
     assert not has_infinite_path(current)
 
 
-def test_decide_lee_budget(chart_f):
-    with pytest.raises(SearchBudgetExceeded):
-        decide_lee(chart_f, budget=1)
-
-
-def test_decide_lee_ignores_the_budget_variable(monkeypatch, chart_f):
-    """Only `loopchart lee` reads LOOPCHART_BUDGET; a library call takes
-    its budget from its argument."""
-    expected = decide_lee(chart_f)
-    for value in ("1", "abc"):
-        monkeypatch.setenv("LOOPCHART_BUDGET", value)
-        assert decide_lee(chart_f) == expected
-
-
 def assert_counters_hold_together(result, c):
     """Every round but the last eliminates a loop, one pass at most per
-    live vertex and round, and the budget is the passes plus the
-    eliminations."""
+    live vertex and round, and each elimination drops transitions for
+    good: the bound `decide_lee`'s docstring states."""
     if result.holds:
         assert result.eliminations == len(result.trace.steps)
         assert result.eliminations >= result.rounds
     else:
         assert result.eliminations >= result.rounds - 1
+    assert result.eliminations <= len(c.transitions)
+    assert result.rounds <= result.eliminations + 1
     assert result.vertex_passes <= result.rounds * len(c.vertices)
-    assert result.checks == result.vertex_passes + result.eliminations
 
 
 def test_decide_lee_counts_its_search(chart_g0):
@@ -138,6 +125,24 @@ def test_decide_lee_counts_its_search(chart_g0):
     result = decide_lee(c)
     assert not result.holds
     assert_counters_hold_together(result, c)
+
+
+def nested_star(depth):
+    """(a.(a.(…(a.a)*…)*)*)*, `depth` stars deep."""
+    text = "a"
+    for _ in range(depth):
+        text = f"(a.{text})*"
+    return parse_star_expr(text)
+
+
+def test_decide_lee_counters_on_nested_stars():
+    """LEE holds on the 1-charts of nested stars, up to 121 vertices,
+    within the bound."""
+    for depth in range(1, 61):
+        c = semantics.onechart_of(nested_star(depth))
+        result = decide_lee(c)
+        assert result.holds
+        assert_counters_hold_together(result, c)
 
 
 def test_decide_lee_eliminates_every_maximal_loop_a_scan_meets():
@@ -467,12 +472,13 @@ def test_the_seeded_sweep_slice():
 
 
 def test_decide_lee_takes_linear_budget_on_large_one_charts():
-    """The 1-charts of the sweep's large expressions hold within four units
-    of budget per vertex, with a layered recording."""
+    """The 1-charts of the sweep's large expressions hold within four vertex
+    passes and eliminations per vertex, with a layered recording."""
     for e in lee_sweep.large_exprs():
         c = semantics.onechart_of(e)
-        result = decide_lee(c, budget=4 * len(c.vertices))
+        result = decide_lee(c)
         assert result.holds
+        assert result.vertex_passes + result.eliminations <= 4 * len(c.vertices)
         labeling = recording_labeling(c, result.trace)
         assert validate_llee(labeling).valid
         assert validate_llee_alt(labeling).valid
@@ -484,25 +490,13 @@ def counters(result):
 
 @settings(max_examples=200, deadline=None)
 @given(small_charts())
-def test_decide_lee_spends_exactly_its_checks(c):
-    """The budget a run uses is `checks`: that budget suffices and gives the
-    same result, one unit less runs out."""
-    result = decide_lee(c)
-    if result.checks == 0:
-        return
-    assert decide_lee(c, budget=result.checks) == result
-    with pytest.raises(SearchBudgetExceeded):
-        decide_lee(c, budget=result.checks - 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_charts())
 def test_decide_lee_ignores_the_unreachable_part(c):
     result, restricted = decide_lee(c), decide_lee(reachable(c))
     assert result.holds == restricted.holds
     assert ((result.trace and result.trace.to_json())
             == (restricted.trace and restricted.trace.to_json()))
     assert counters(result) == counters(restricted)
+    assert_counters_hold_together(result, c)
 
 
 def _one_free_shape(e) -> bool:
