@@ -291,7 +291,6 @@ _EXIT_2 = {
     SchemaError: "schema error: {}",
     RecursionError: "error: input nested too deeply (recursion limit reached)",
     MemoryError: "error: out of memory",
-    semantics.StateExplosion: "state explosion: {}",
     OSError: "error: {}",
 }
 

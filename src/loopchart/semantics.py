@@ -25,12 +25,14 @@ the slots of exactly the nodes a rule reads, dependencies first, so no rule
 recurses and nesting depth is unbounded.
 
 Interpretations close an expression under the respective steps
-(breadth-first, dense vertex ids in discovery order).  `_close` returns only
-each vertex's expression, the expression -> id map and the structure
-(``Closure.structure``): ints and label strings, which the P1 and P2 verdict
-caches of ``cli`` take as keys and read without any chart.  One function,
-`from_structure`, turns a structure into a chart; ``chart_of`` and its
-siblings build theirs on first use and keep it with its closure.  The two
+(breadth-first, dense vertex ids in discovery order).  A closure has at most
+A + 1 vertices, or A + S + 1 for the 1-chart, where A and S count the
+expression's action and star occurrences (proof at `_close`).  `_close`
+returns only each vertex's expression, the expression -> id map and the
+structure (``Closure.structure``): ints and label strings, which the P1 and
+P2 verdict caches of ``cli`` take as keys and read without any chart.  One
+function, `from_structure`, turns a structure into a chart; ``chart_of`` and
+its siblings build theirs on first use and keep it with its closure.  The two
 most recent closures are kept (``functools.lru_cache(maxsize=2)``); the
 1-chart and the labeled 1-chart are one closure.  What they return is shared
 with every caller for the same expression: do not modify it.  Once the next
@@ -49,10 +51,6 @@ from .syntax import (
 )
 
 BODY = 0
-
-
-class StateExplosion(Exception):
-    """Interpretation exceeded the vertex cap; indicates a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +190,37 @@ def normedness(E: Stacked) -> dict[Stacked, tuple[bool, bool]]:
 # ---------------------------------------------------------------------------
 # interpretations
 
-VERTEX_CAP = 100_000
-
-
 def _close(start, step_fn):
     """Breadth-first closure under `step_fn`, whose steps are (label,
     *middle, target): each vertex's expression in id order, the expression
-    -> id map, and the structure that `Closure` describes."""
+    -> id map, and the structure that `Closure` describes.
+
+    The closure of an expression e has at most A + 1 vertices under
+    `steps_star` and at most A + S + 1 under `labeled_steps_stacked`, where
+    A and S count the occurrences of actions and of stars in e's syntax
+    tree, with repetition.  So it needs no cap.
+
+    Proof.  An occurrence o in e has a context C(o)[x]: x if o is e itself;
+    in `Sum(l, r)`, o's context in l or r; in `Prod(l, r)`, Prod(C_l(o)[x],
+    r) for o in l and C_r(o)[x] for o in r; in `Star(b)`, Prod(C_b(o)[x],
+    b*).  The marked contexts write sprod(., r) and SStack(., b*) for these
+    two `Prod`s.  An action occurrence p's continuation is C(p)[1]; a star
+    occurrence s's re-entry, used by the marked rules only, is C(s)[s].
+    Let T_e hold the continuations and, marked, the re-entries.  Claim:
+    each step of e or of a member of T_e goes into T_e, a proper step to a
+    continuation and an empty step to a re-entry.  By induction on e:
+
+    * `Act`: T_e = {1}; e steps to 1, which has no steps.
+    * `Sum(l, r)`: T_e = T_l | T_r, and e steps as l and r do.
+    * `Prod(l, r)`: T_e is Prod(X, r) (marked: sprod(X, r)) for X in T_l,
+      plus T_r.  A left step of e or of Prod(X, r) follows a step of l or
+      of X into T_l, and a right step is one of r's, into T_r.  An
+      SProd(X, r) steps only as X does.
+    * `Star(b)`: T_e is Prod(X, e) (marked: SStack(X, e)) for X in T_b,
+      plus, marked, e itself, its own re-entry.  e and Prod(X, e) step as
+      b, X or e do.  SStack(X, e) steps as X does, or empties to e.
+
+    So every vertex but e is one of at most A (+ S) members of T_e."""
     ids = {start: 0}
     order = [start]
     laid_out = []
@@ -208,8 +230,6 @@ def _close(start, step_fn):
             steps = sorted(steps, key=lambda s: (s[0], render(s[-1])))
         for label, *middle, target in steps:
             if target not in ids:
-                if len(ids) >= VERTEX_CAP:
-                    raise StateExplosion(f"more than {VERTEX_CAP} vertices")
                 ids[target] = len(order)
                 order.append(target)
             laid_out += (source, label, ids[target], *middle)

@@ -361,10 +361,11 @@ def render(value: Stacked) -> str:
     """Parenthesization-minimal text; `@` is the stacked-star layer token.
 
     A plain node's text is computed once, by `bottom_up`, and cached on the
-    node.  A stacked node caches its text only when it is rendered itself,
-    not as the head of another: a 1-chart state of ``a`` under n stars has
-    n layers, and caching every layer's text would cost memory cubic in
-    n."""
+    node and on every subnode: a left-deep product chain of n actions keeps
+    about n^2 characters (20,000 actions: about 420 MB).  A stacked node
+    caches its text only when it is rendered itself, not as the head of
+    another: a 1-chart state of ``a`` under n stars has n layers, and
+    caching every layer's text would cost memory cubic in n."""
     if isinstance(value, StarExpr):
         return value._text or bottom_up(value, "_text", _children, _text_of)
     if not isinstance(value, StackedExpr):

@@ -547,8 +547,7 @@ def test_cli_chart_file_not_utf8_exit_2(tmp_path, capsys, argv):
     assert err.startswith("schema error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("error", [semantics.StateExplosion, RecursionError,
-                                   MemoryError])
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
 def test_cli_semantics_errors_exit_2(monkeypatch, capsys, error):
     def fail(e):
         raise error("cap")

@@ -190,12 +190,6 @@ def test_charts_from_structures_equal_the_interpretations():
         assert marked.marking == labeled_onechart_of(e).marking
 
 
-def test_state_explosion_cap(monkeypatch):
-    monkeypatch.setattr(semantics, "VERTEX_CAP", 2)
-    with pytest.raises(semantics.StateExplosion):
-        chart_of(parse_star_expr("(a.a.a.a)*.(b.b.b.b)*"))
-
-
 def test_normed_plus_iff_step_to_normed(e_expr, f_expr):
     """normed+ holds exactly when some step reaches a normed expression, and
     the stored measures agree with the fixpoints."""
@@ -277,3 +271,70 @@ def test_no_corpus_onechart_state_has_a_step_marked_twice():
     for e in cli.corpus_exprs():
         for E in semantics.closure_of(e, labeled_steps_stacked).exprs:
             check_marked_steps(E)
+
+
+def positions(e, marked):
+    """The continuations C(p)[1] of e's action occurrences p and the
+    re-entries C(s)[s] of its star occurrences s, with repetition, as
+    `semantics._close`'s bound defines them; the re-entries are marked
+    only."""
+    if isinstance(e, Act):
+        return [One()], []
+    if isinstance(e, (Sum, Prod)):
+        (conts, entries), (right_conts, right_entries) = (
+            positions(e.left, marked), positions(e.right, marked))
+        if isinstance(e, Prod):
+            wrap = sprod if marked else Prod
+            conts = [wrap(x, e.right) for x in conts]
+            entries = [wrap(x, e.right) for x in entries]
+        return conts + right_conts, entries + right_entries
+    if isinstance(e, Star):
+        wrap = SStack if marked else Prod
+        conts, entries = positions(e.body, marked)
+        return [wrap(x, e) for x in conts], [wrap(x, e) for x in entries] + [e] * marked
+    return [], []
+
+
+def check_closure_bound(e):
+    """e's chart has at most A + 1 vertices and its 1-chart at most
+    A + S + 1, for A actions and S stars in e's tree; every vertex but e is
+    a continuation or, in the 1-chart, a re-entry, which only the empty
+    steps reach.  Returns what each closure falls short of its bound by."""
+    conts, _ = positions(e, False)
+    marked_conts, entries = positions(e, True)
+    stars = len(entries)
+    plain = semantics.closure_of(e, steps_star)
+    assert plain.structure[0] <= len(conts) + 1, render(e)
+    assert set(plain.exprs) <= {e, *conts}, render(e)
+    marked = semantics.closure_of(e, labeled_steps_stacked)
+    assert marked.structure[0] <= len(conts) + stars + 1, render(e)
+    laid_out = marked.structure[2]
+    for label, target in zip(laid_out[1::4], laid_out[2::4]):
+        assert marked.exprs[target] in (entries if label == EMPTY else marked_conts), render(e)
+    return (len(conts) + 1 - plain.structure[0],
+            len(conts) + stars + 1 - marked.structure[0])
+
+
+def test_corpus_closures_are_bounded_by_their_expressions():
+    """Every corpus closure is within its bound, and some meet each bound
+    exactly."""
+    slacks = [check_closure_bound(e) for e in cli.corpus_exprs()]
+    assert min(plain for plain, _ in slacks) == min(marked for _, marked in slacks) == 0
+
+
+@settings(deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda size: st.lists(st.integers(0, 120), min_size=size, max_size=size)))
+def test_closures_are_bounded_by_their_expressions(codes):
+    check_closure_bound(expr_of(codes))
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_nested_star_closures_are_bounded(depth):
+    """`a` under `depth` stars, and (a.(a.(…(a.a)*…)*)*)* `depth` stars
+    deep."""
+    starred, chain = "a", "a"
+    for _ in range(depth):
+        starred, chain = f"({starred})*", f"(a.{chain})*"
+    check_closure_bound(parse_star_expr(starred))
+    check_closure_bound(parse_star_expr(chain))
