@@ -56,21 +56,19 @@ def _refine(charts: list[Chart]) -> dict[tuple[int, int], int]:
     outs = {(i, v): [(label, (i, w)) for _, label, w in charts[i].out(v)]
             for i, v in verts}
     block = {x: int(x[1] in charts[x[0]].terminating) for x in verts}
+    count = len(set(block.values()))
     while True:
-        signatures = {
-            x: (block[x], frozenset((label, block[y]) for label, y in outs[x]))
+        # a vertex's signature: its block and the (label, block) of its steps
+        renumber: dict = {}
+        new_block = {
+            x: renumber.setdefault(
+                (block[x], frozenset((label, block[y]) for label, y in outs[x])),
+                len(renumber))
             for x in verts
         }
-        renumber: dict = {}
-        new_block = {}
-        for x in verts:
-            sig = signatures[x]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block[x] = renumber[sig]
-        if len(set(new_block.values())) == len(set(block.values())):
+        if len(renumber) == count:
             return new_block
-        block = new_block
+        block, count = new_block, len(renumber)
 
 
 def bisimilar(c1: Chart, c2: Chart) -> Optional[set[Pair]]:
@@ -78,9 +76,10 @@ def bisimilar(c1: Chart, c2: Chart) -> Optional[set[Pair]]:
     block = _refine([c1, c2])
     if block[(0, c1.start)] != block[(1, c2.start)]:
         return None
-    return {(u, v)
-            for u in c1.vertices for v in c2.vertices
-            if block[(0, u)] == block[(1, v)]}
+    members: dict[int, list[int]] = {}
+    for v in c2.vertices:
+        members.setdefault(block[(1, v)], []).append(v)
+    return {(u, v) for u in c1.vertices for v in members.get(block[(0, u)], ())}
 
 
 def check_functional_bisim(c1: Chart, c2: Chart,
@@ -118,9 +117,12 @@ def collapse(c: Chart) -> tuple[Chart, dict[int, int]]:
     """
     r = reachable(c)
     block = _refine([r])
-    # dense new ids in BFS discovery order of block representatives
-    order = dict.fromkeys(block[(0, v)] for v in reach(r.out_index().get, [r.start]))
-    new_id = {b: i for i, b in enumerate(order)}
+    # each block's representative is its first vertex in BFS discovery
+    # order, and the blocks get dense new ids in the order of theirs
+    representative: dict[int, int] = {}
+    for v in reach(r.out_index().get, [r.start]):
+        representative.setdefault(block[(0, v)], v)
+    new_id = {b: i for i, b in enumerate(representative)}
     qmap = {v: new_id[block[(0, v)]] for v in r.vertices}
     quotient = Chart(
         alphabet=r.alphabet,
@@ -129,6 +131,7 @@ def collapse(c: Chart) -> tuple[Chart, dict[int, int]]:
         transitions=frozenset((qmap[v], label, qmap[w])
                               for v, label, w in r.transitions),
         terminating=frozenset(qmap[v] for v in r.terminating),
-        annotations={qmap[v]: a for v, a in sorted(r.annotations.items())},
+        annotations={new_id[b]: r.annotations[v] for b, v in representative.items()
+                     if v in r.annotations},
     )
     return quotient, qmap

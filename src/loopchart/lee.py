@@ -84,20 +84,16 @@ class WitnessReport:
 
 def check_loop_chart(c: Chart) -> LoopReport:
     """L1: some infinite path from the start; L2: every infinite path
-    returns to the start; L3: termination only at the start."""
-    return _loop_report(c.out_index().get, c.start, c.terminating)
+    returns to the start; L3: termination only at the start.
 
-
-def _loop_report(steps, start: int, terminating: frozenset[int]) -> LoopReport:
-    """L1-L3 on the part from `start` of the chart whose transitions
-    `steps(v)` gives in sorted order, with terminating vertices
-    `terminating`, from one depth-first walk from `start`: L1 holds iff
-    the walk has a back edge, L2 iff none has a head other than `start`,
-    and L3 iff it reaches no terminating vertex but `start`.  Only a
-    failing L2 takes a second walk, from the other vertices in order with
-    `start`'s steps cut, for the first cycle that avoids `start`.  The
-    walks share no code with the search that finds loops
-    (`_maximal_loop`)."""
+    One depth-first walk from the start decides all three on the part of
+    the chart it reaches: L1 holds iff the walk has a back edge, L2 iff
+    none has a head other than the start, and L3 iff it reaches no
+    terminating vertex but the start.  Only a failing L2 takes a second
+    walk, from the other vertices in order with the start's steps cut, for
+    the first cycle that avoids the start.  The walks share no code with
+    the search that finds loops (`_maximal_loop`)."""
+    steps, start = c.out_index().get, c.start
     seen, heads, _ = walk(steps, [start])
     others = seen - {start}
     violations = []
@@ -108,7 +104,7 @@ def _loop_report(steps, start: int, terminating: frozenset[int]) -> LoopReport:
         cycle = walk(lambda v: None if v == start else steps(v), sorted(others))[2]
         violations.append({"condition": "L2", "cycle": cycle,
                            "detail": "cycle avoiding the start vertex"})
-    for v in sorted(others & terminating):
+    for v in sorted(others & c.terminating):
         violations.append({"condition": "L3", "vertex": v,
                            "detail": "non-start vertex permits termination"})
     return LoopReport(not violations, violations)
@@ -201,7 +197,7 @@ def decide_lee(c: Chart) -> LeeResult:
     layered witness: an entry at a vertex of B \\ {v} was eliminated
     before the loop at v, so its level is lower (W3); every transition from
     B \\ {v} stays a body step, so the subchart the loop generates in the
-    recording is the one its elimination checked (W2); and the run ends
+    recording is the loop subchart its search found (W2); and the run ends
     without cycles, while every vertex an elimination cuts off from the
     start lies in B \\ {v}, which holds no cycle avoiding v (W1).
 
@@ -229,9 +225,11 @@ def decide_lee(c: Chart) -> LeeResult:
       and eliminated its loop, a contradiction.
 
     A run edits a copy of the chart's adjacency, of which only the part
-    reachable from the start counts.  Each elimination checks L1-L3 on it,
-    with v's transitions cut down to the entries, as `eliminate_loop`
-    checks the loop subchart, and then drops the entries from v's list.
+    reachable from the start counts: each elimination drops the entries
+    from v's list.  No elimination is checked again.  By the first
+    paragraph, the maximal entry set meets L2 and L3, since every entry is
+    admissible, and it meets L1, since v lies in its body.  `eliminate_loop`
+    and `recording_labeling` still check any trace that comes from outside.
     One depth-first walk from the start per round finds the live vertices
     and whether a cycle remains among them.
 
@@ -239,8 +237,8 @@ def decide_lee(c: Chart) -> LeeResult:
     drops a non-empty entry set from the adjacency for good, and no step
     adds a transition, so a run makes at most |T| eliminations.  Every
     round but the last eliminates a loop, so it has at most |T| + 1
-    rounds, and each round passes each vertex at most once.  A pass, an
-    elimination's check and a round's walk are each linear in the chart."""
+    rounds, and each round passes each vertex at most once.  A pass and a
+    round's walk are each linear in the chart."""
     # the lists are replaced, never modified, so the chart's stay intact
     index = dict(c.out_index())
     out = index.get
@@ -261,13 +259,7 @@ def decide_lee(c: Chart) -> LeeResult:
                 continue
             eliminations += 1
             entry_set, body = loop
-            kept = index[v]
-            # with only the entries left at v, the part from v is the loop subchart
-            index[v] = [t for t in kept if t in entry_set]
-            report = _loop_report(out, v, terminating)
-            if not report.ok:
-                raise NotALoopSubchart(report)
-            index[v] = [t for t in kept if t not in entry_set]
+            index[v] = [t for t in index[v] if t not in entry_set]
             steps.append(EliminationStep(v, entry_set))
             retired.update(body - {v})
         if eliminations == eliminated:

@@ -292,9 +292,11 @@ def test_corpus_chart_dot_is_unchanged(corpus_results):
 
 
 # sha256 over to_json of the collapse of chart_of(e) and its sorted vertex
-# map, for every corpus expression in order, recorded before collapse's
-# breadth-first numbering moved onto charts.reach
-CORPUS_COLLAPSE_SHA256 = "af608ecdb5969c8f8074f0126194f97f126191c16e7c6f306be1481f25c84a6b"
+# map, for every corpus expression in order, re-recorded (from af608ecd…)
+# when a merged vertex took its annotation from its block's first vertex in
+# breadth-first order instead of its highest-id member; with annotations
+# stripped, the quotients and vertex maps are as before
+CORPUS_COLLAPSE_SHA256 = "d309d5647eea0d41e3333abc07103c4ea636293f660c7aa66db989bb6e933e58"
 
 
 def test_corpus_collapse_is_unchanged(corpus_results):

@@ -128,6 +128,13 @@ def test_collapse_numbers_blocks_in_breadth_first_order():
     assert collapsed.terminating == frozenset({2})
 
 
+def test_collapse_annotates_a_block_with_its_first_vertex():
+    # the chart of a* has the start a* and 1.a*, which are bisimilar
+    collapsed, qmap = collapse(semantics.chart_of(parse_star_expr("a*")))
+    assert qmap == {0: 0, 1: 0}
+    assert collapsed.annotations == {0: "a*"}
+
+
 def test_collapse_identity_on_minimal_charts(chart_g0, chart_f, ne1, ne2):
     for c in (chart_g0, chart_f, ne1, ne2):
         collapsed, qmap = collapse(c)

@@ -10,9 +10,8 @@ from loopchart.charts import (
 from loopchart.cli import corpus_exprs, enumerate_exprs, sample_exprs
 from loopchart.lee import (
     EliminationStep, EliminationTrace, EmptyEntrySet, LoopReport,
-    NotALoopSubchart, TraceReplayError, _loop_report,
-    _maximal_loop, check_loop_chart, decide_lee, eliminate_loop,
-    entries_of, loop_subchart_generated, recording_labeling,
+    NotALoopSubchart, TraceReplayError, _maximal_loop, check_loop_chart,
+    decide_lee, eliminate_loop, entries_of, loop_subchart_generated, recording_labeling,
     validate_llee, validate_llee_alt,
 )
 from loopchart.syntax import Act, One, Prod, Star, parse_star_expr, render
@@ -324,9 +323,18 @@ def maximal_loop_by_definition(c, v):
 @settings(max_examples=300, deadline=None)
 @given(small_charts(1, 8))
 def test_maximal_loop_matches_the_definition(c):
+    """The search finds the maximal entry set, and that set generates a
+    loop subchart whose vertices are the body: the theorem that lets
+    decide_lee eliminate it unchecked."""
     out = c.out_index().get
     for v in sorted(c.vertices):
-        assert _maximal_loop(out, c.terminating, v) == maximal_loop_by_definition(c, v)
+        loop = _maximal_loop(out, c.terminating, v)
+        assert loop == maximal_loop_by_definition(c, v)
+        if loop is not None:
+            entries, body = loop
+            sub = loop_subchart_generated(c, v, entries)
+            assert check_loop_chart(sub).ok
+            assert sub.vertices == body
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,22 +419,9 @@ def loop_chart_case(n, transitions, terminating=()):
                              (2, "b", 0)]))  # a cycle avoiding the start (L2)
 @example(loop_chart_case(2, [(0, "a", 1), (1, "a", 0)], [1]))  # termination behind (L3)
 @example(loop_chart_case(3, [(0, "a", 1), (1, "b", 2)]))  # no way back (L1)
-def test_loop_report_on_the_adjacency_matches_the_chart(c):
-    """check_loop_chart reports what the chart-level check reports, and on
-    an adjacency whose steps at v are cut down to an entry set, the report
-    is the loop subchart's, as decide_lee reads it."""
+def test_check_loop_chart_matches_the_chart_level_check(c):
+    """check_loop_chart reports what the chart-level check reports."""
     assert check_loop_chart(c) == check_loop_chart_on_a_chart(c)
-    out = c.out_index().get
-    for v in sorted(c.vertices):
-        entry_sets = [frozenset({t}) for t in c.out(v)]
-        loop = _maximal_loop(out, c.terminating, v)
-        if loop is not None:
-            entry_sets.append(loop[0])
-        for entry_set in entry_sets:
-            entries = sorted(entry_set)
-            report = _loop_report(lambda x: entries if x == v else out(x), v,
-                                  c.terminating)
-            assert report == check_loop_chart(loop_subchart_generated(c, v, entry_set))
 
 
 def assert_walk_matches_its_definition(c):
